@@ -19,6 +19,7 @@
 #include "workload/harness.h"
 #include "workload/queries.h"
 #include "workload/schemas.h"
+#include "xquery/compiled_query.h"
 
 using namespace partix;  // bench binary: brevity over style here
 
@@ -90,8 +91,10 @@ int main() {
       size_t pos = text.find(needle);
       text.replace(pos, needle.size(),
                    "\"" + schema->fragments[f].name() + "\"");
+      auto compiled = xquery::CompiledQuery::Compile(text);
+      if (!compiled.ok()) return 1;
       plan.subqueries.push_back(middleware::SubQuery{
-          schema->fragments[f].name(), f, std::move(text)});
+          schema->fragments[f].name(), f, std::move(text), {}, *compiled});
     }
     double sum = 0.0;
     size_t counted = 0;

@@ -4,9 +4,11 @@
 #include <sys/stat.h>
 #include <sys/types.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 namespace partix::bench {
 
@@ -37,6 +39,18 @@ inline bool WriteBenchFile(const std::string& filename,
   std::fclose(out);
   std::printf("wrote %s\n", path.c_str());
   return true;
+}
+
+/// The `p`-th percentile (p in [0, 1]) of `samples`, linearly
+/// interpolated between the two nearest ranks; 0 for no samples.
+inline double Percentile(std::vector<double> samples, double p) {
+  if (samples.empty()) return 0.0;
+  std::sort(samples.begin(), samples.end());
+  const double rank = p * static_cast<double>(samples.size() - 1);
+  const size_t lo = static_cast<size_t>(rank);
+  const size_t hi = std::min(lo + 1, samples.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return samples[lo] + (samples[hi] - samples[lo]) * frac;
 }
 
 }  // namespace partix::bench

@@ -31,7 +31,6 @@
 // rounds, PARTIX_SMOKE=1 shrinks everything for CI (2 clients max, no
 // speedup gate).
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -58,6 +57,7 @@ using partix::middleware::Scheduler;
 using partix::middleware::SchedulerOptions;
 using partix::middleware::SchedulerStats;
 using partix::StatusCode;
+using partix::bench::Percentile;
 
 constexpr size_t kFragments = 4;
 constexpr size_t kReplicationFactor = 2;
@@ -75,14 +75,6 @@ struct SeriesResult {
   double p99_ms = 0.0;
   bool identical = true;
 };
-
-double Percentile(std::vector<double>* samples, double p) {
-  if (samples->empty()) return 0.0;
-  std::sort(samples->begin(), samples->end());
-  const size_t index = static_cast<size_t>(
-      p * static_cast<double>(samples->size() - 1) + 0.5);
-  return (*samples)[std::min(index, samples->size() - 1)];
-}
 
 /// Closed loop: `clients` threads each run `rounds` cycles of the
 /// workload through one scheduler limited to `max_concurrent` slots.
@@ -146,8 +138,8 @@ SeriesResult RunSeries(partix::workload::Deployment* deployment,
   series.qps = wall_sec > 0.0
                    ? static_cast<double>(series.queries) / wall_sec
                    : 0.0;
-  series.p50_ms = Percentile(&latencies, 0.50);
-  series.p99_ms = Percentile(&latencies, 0.99);
+  series.p50_ms = Percentile(latencies, 0.50);
+  series.p99_ms = Percentile(latencies, 0.99);
   series.identical = mismatches.load() == 0 && failures.load() == 0;
 
   const SchedulerStats stats = scheduler.stats();

@@ -137,6 +137,7 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 namespace {
 
 using partix::HumanBytes;
+using partix::bench::Percentile;
 using partix::middleware::ExecutionOptions;
 
 constexpr size_t kFragments = 4;
@@ -153,14 +154,6 @@ size_t PeakRssBytes() {
   }
   std::fclose(f);
   return kb * 1024;
-}
-
-double Percentile(std::vector<double> samples, double pct) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  size_t index = static_cast<size_t>(pct * static_cast<double>(samples.size()));
-  if (index >= samples.size()) index = samples.size() - 1;
-  return samples[index];
 }
 
 uint64_t SnapshotCounter(const partix::telemetry::MetricsSnapshot& snapshot,

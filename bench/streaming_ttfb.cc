@@ -45,6 +45,7 @@ namespace {
 
 using partix::middleware::DistributedResult;
 using partix::middleware::ExecutionOptions;
+using partix::bench::Percentile;
 
 constexpr size_t kFragments = 4;
 constexpr size_t kParallelism = 4;
@@ -59,16 +60,6 @@ struct Series {
   uint64_t stream_blocks = 0;
   std::string serialized;
 };
-
-double Percentile(std::vector<double> samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const double rank = p * static_cast<double>(samples.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return samples[lo] + (samples[hi] - samples[lo]) * frac;
-}
 
 partix::Result<Series> MeasureSeries(
     partix::workload::Deployment* deployment,

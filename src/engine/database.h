@@ -92,7 +92,7 @@ struct ExecParams {
   /// oversubscription).
   ThreadPool* morsel_pool = nullptr;
   /// Target items per ResultBlock on the streaming path
-  /// (ExecuteStream/ExecutePreparedStream). 0 = the default (256).
+  /// (ExecutePreparedStream). 0 = the default (256).
   size_t stream_block_items = 0;
 };
 
@@ -305,16 +305,13 @@ class Database {
       const PreparedQuery& prepared,
       const ExecParams& exec = ExecParams()) const;
 
-  /// Streaming forms: instead of one materialized QueryResult, returns a
-  /// pull-based cursor yielding ResultBlocks whose concatenation is
-  /// byte-, item-, and metrics-identical to the materialized call. The
-  /// cursor holds this database's shared lock for its whole life (DDL
-  /// waits until every open cursor is destroyed), so create, drain, and
-  /// destroy it on ONE thread — a shared_mutex must be released by the
-  /// locking thread. ExecuteStream prepares internally; for
-  /// ExecutePreparedStream the plan must outlive the cursor.
-  Result<ResultCursorPtr> ExecuteStream(
-      const std::string& query, const ExecParams& exec = ExecParams()) const;
+  /// Streaming form of ExecutePrepared: instead of one materialized
+  /// QueryResult, returns a pull-based cursor yielding ResultBlocks whose
+  /// concatenation is byte-, item-, and metrics-identical to the
+  /// materialized call. The cursor holds this database's shared lock for
+  /// its whole life (DDL waits until every open cursor is destroyed), so
+  /// create, drain, and destroy it on ONE thread — a shared_mutex must be
+  /// released by the locking thread. The plan must outlive the cursor.
   Result<ResultCursorPtr> ExecutePreparedStream(
       const PreparedQuery& prepared,
       const ExecParams& exec = ExecParams()) const;
@@ -392,13 +389,6 @@ class Database {
           delta_for,
       const xquery::EvalStats& eval_stats, QueryMetrics* metrics) const;
 
-  /// Streaming open body shared by ExecuteStream/ExecutePreparedStream.
-  /// `keepalive` (may be null) keeps an internally-prepared plan alive for
-  /// the cursor's lifetime; `prepared` is the plan to run.
-  Result<ResultCursorPtr> OpenCursor(PreparedQueryPtr keepalive,
-                                     const PreparedQuery* prepared,
-                                     const ExecParams& exec) const;
-
   friend class ResultCursor;
 
   DatabaseOptions options_;
@@ -418,8 +408,8 @@ class Database {
   mutable PlanCache plan_cache_;
 };
 
-/// A pull-based streamed query result, opened by Database::ExecuteStream
-/// or ExecutePreparedStream. Yields fixed-size ResultBlocks whose
+/// A pull-based streamed query result, opened by
+/// Database::ExecutePreparedStream. Yields fixed-size ResultBlocks whose
 /// concatenated items/bytes equal the materialized QueryResult exactly;
 /// metrics() is complete (elapsed, result counts, store/evaluator
 /// attribution) once Next() has returned false.

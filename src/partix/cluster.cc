@@ -139,86 +139,22 @@ Status ClusterSim::FaultGate(size_t i, double stall_budget_ms,
   return Status::Ok();
 }
 
-Result<xdb::QueryResult> ClusterSim::ExecuteGated(
-    size_t i, double stall_budget_ms,
-    const std::function<Result<xdb::QueryResult>()>& run) {
+Status ClusterSim::PassFaultGate(size_t i, double stall_budget_ms,
+                                 bool* corrupt_response) {
   double spike_ms = 0.0;
-  bool corrupt_response = false;
   bool crash_restart = false;
-  Status gate =
-      FaultGate(i, stall_budget_ms, &spike_ms, &corrupt_response,
-                &crash_restart);
-  if (!gate.ok()) {
-    // Cache drop and stalls happen outside the fault mutex: a restarting
-    // or stalling node must not block fault draws for concurrent requests
-    // to the same node.
-    if (crash_restart) nodes_[i]->DropCaches();
-    if (spike_ms > 0.0) {
-      // Budget-capped spike: the client hangs on for the budget, then
-      // gives up — fail fast instead of sleeping out a result nobody
-      // will accept.
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(spike_ms / 1e3));
-    }
-    return gate;
-  }
-  if (spike_ms > 0.0) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(spike_ms / 1e3));
-  }
-  Result<xdb::QueryResult> result = run();
-  if (result.ok() && corrupt_response) {
-    // Corrupt *after* the node stamped its digest: this is the wire
-    // mangling the bytes, not the engine producing a wrong answer.
-    CorruptXmlText(&result->serialized, result->response_digest);
-  }
-  return result;
-}
-
-Result<SubQueryStreamPtr> ClusterSim::ExecuteStreamGated(
-    size_t i, double stall_budget_ms,
-    const std::function<Result<SubQueryStreamPtr>()>& open) {
-  double spike_ms = 0.0;
-  bool corrupt_response = false;
-  bool crash_restart = false;
-  Status gate = FaultGate(i, stall_budget_ms, &spike_ms, &corrupt_response,
+  Status gate = FaultGate(i, stall_budget_ms, &spike_ms, corrupt_response,
                           &crash_restart);
-  if (!gate.ok()) {
-    if (crash_restart) nodes_[i]->DropCaches();
-    if (spike_ms > 0.0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(spike_ms / 1e3));
-    }
-    return gate;
-  }
+  // Cache drop and stalls happen outside the fault mutex: a restarting or
+  // stalling node must not block fault draws for concurrent requests to
+  // the same node. On a budget-capped spike the client hangs on for the
+  // budget, then gives up — fail fast instead of sleeping out a result
+  // nobody will accept.
+  if (crash_restart) nodes_[i]->DropCaches();
   if (spike_ms > 0.0) {
     std::this_thread::sleep_for(std::chrono::duration<double>(spike_ms / 1e3));
   }
-  // Snapshot the deterministic streaming knobs under the fault mutex at
-  // open time: a control-plane profile swap mid-stream must not tear them.
-  int64_t fail_after_blocks = -1;
-  double block_stall_ms = 0.0;
-  {
-    NodeFaultState& f = *faults_[i];
-    std::lock_guard<std::mutex> lock(f.mu);
-    fail_after_blocks = f.profile.fail_stream_after_blocks;
-    block_stall_ms = f.profile.stream_block_stall_ms;
-  }
-  Result<SubQueryStreamPtr> stream = open();
-  if (!stream.ok()) return stream;
-  return SubQueryStreamPtr(std::make_unique<GatedStream>(
-      std::move(*stream), i, fail_after_blocks, block_stall_ms,
-      corrupt_response));
-}
-
-Result<xdb::QueryResult> ClusterSim::ExecuteOnNode(
-    size_t i, const std::string& query, double stall_budget_ms,
-    const xdb::ExecParams& exec) {
-  if (i >= nodes_.size()) {
-    return Status::OutOfRange("node " + std::to_string(i) +
-                              " out of range");
-  }
-  return ExecuteGated(i, stall_budget_ms,
-                      [&] { return nodes_[i]->Execute(query, exec); });
+  return gate;
 }
 
 Result<PreparedSubQueryPtr> ClusterSim::PrepareOnNode(
@@ -243,21 +179,17 @@ Result<xdb::QueryResult> ClusterSim::ExecutePreparedOnNode(
     return Status::OutOfRange("node " + std::to_string(i) +
                               " out of range");
   }
-  return ExecuteGated(i, stall_budget_ms, [&] {
-    return nodes_[i]->ExecutePrepared(prepared, exec);
-  });
-}
-
-Result<SubQueryStreamPtr> ClusterSim::ExecuteStreamOnNode(
-    size_t i, const std::string& query, double stall_budget_ms,
-    const xdb::ExecParams& exec) {
-  if (i >= nodes_.size()) {
-    return Status::OutOfRange("node " + std::to_string(i) +
-                              " out of range");
+  bool corrupt_response = false;
+  PARTIX_RETURN_IF_ERROR(
+      PassFaultGate(i, stall_budget_ms, &corrupt_response));
+  Result<xdb::QueryResult> result =
+      nodes_[i]->ExecutePrepared(prepared, exec);
+  if (result.ok() && corrupt_response) {
+    // Corrupt *after* the node stamped its digest: this is the wire
+    // mangling the bytes, not the engine producing a wrong answer.
+    CorruptXmlText(&result->serialized, result->response_digest);
   }
-  return ExecuteStreamGated(i, stall_budget_ms, [&] {
-    return nodes_[i]->ExecuteStream(query, exec);
-  });
+  return result;
 }
 
 Result<SubQueryStreamPtr> ClusterSim::ExecutePreparedStreamOnNode(
@@ -267,9 +199,24 @@ Result<SubQueryStreamPtr> ClusterSim::ExecutePreparedStreamOnNode(
     return Status::OutOfRange("node " + std::to_string(i) +
                               " out of range");
   }
-  return ExecuteStreamGated(i, stall_budget_ms, [&] {
-    return nodes_[i]->ExecutePreparedStream(prepared, exec);
-  });
+  bool corrupt_response = false;
+  PARTIX_RETURN_IF_ERROR(
+      PassFaultGate(i, stall_budget_ms, &corrupt_response));
+  // Snapshot the deterministic streaming knobs under the fault mutex at
+  // open time: a control-plane profile swap mid-stream must not tear them.
+  int64_t fail_after_blocks = -1;
+  double block_stall_ms = 0.0;
+  {
+    NodeFaultState& f = *faults_[i];
+    std::lock_guard<std::mutex> lock(f.mu);
+    fail_after_blocks = f.profile.fail_stream_after_blocks;
+    block_stall_ms = f.profile.stream_block_stall_ms;
+  }
+  PARTIX_ASSIGN_OR_RETURN(SubQueryStreamPtr stream,
+                          nodes_[i]->ExecutePreparedStream(prepared, exec));
+  return SubQueryStreamPtr(std::make_unique<GatedStream>(
+      std::move(stream), i, fail_after_blocks, block_stall_ms,
+      corrupt_response));
 }
 
 Status ClusterSim::CreateCollectionOnNode(size_t i,

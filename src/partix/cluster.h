@@ -2,7 +2,6 @@
 #define PARTIX_PARTIX_CLUSTER_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -104,7 +103,8 @@ struct FaultProfile {
 /// spent by the slowest site") — and the *measured* wall-clock of the real
 /// fan-out.
 ///
-/// Thread-safety contract: the data plane (ExecuteOnNode / IsNodeDown /
+/// Thread-safety contract: the data plane (PrepareOnNode /
+/// ExecutePreparedOnNode / ExecutePreparedStreamOnNode / IsNodeDown /
 /// NodeRequestCount, used by executor workers) is thread-safe — each
 /// node's fault state is guarded by its own mutex. The control plane —
 /// SetFaultProfile, SetNodeDown, DropAllCaches, database(i),
@@ -129,11 +129,21 @@ class ClusterSim {
   /// its worker pool persists across queries).
   Executor& executor() { return executor_; }
 
-  /// The data plane: runs `query` on node `i` through its fault profile —
-  /// a down (or fail-after-exhausted) node rejects with kUnavailable,
-  /// transient faults reject without touching the engine, latency spikes
-  /// stall the calling worker — then delegates to the node's driver.
-  /// Thread-safe; this is what the executor dispatches through.
+  /// Prepares a compiled query on node `i`'s driver. A down (or
+  /// fail-after-exhausted) node rejects with kUnavailable, but the fault
+  /// gate's stochastic knobs are NOT consulted: preparation consumes no
+  /// fault-RNG draw and no engine-request budget, so fault-injection
+  /// schedules (and the tests that pin them) see exactly one draw per
+  /// executed attempt. Thread-safe.
+  Result<PreparedSubQueryPtr> PrepareOnNode(
+      size_t i, const xquery::CompiledQueryPtr& compiled);
+
+  /// The data plane: runs a handle from PrepareOnNode(i, ...) on node `i`
+  /// through its fault profile — a down (or fail-after-exhausted) node
+  /// rejects with kUnavailable, transient faults reject without touching
+  /// the engine, latency spikes stall the calling worker — then the
+  /// node's driver executes the handle without recompiling. Thread-safe;
+  /// this is what the executor dispatches through.
   ///
   /// `stall_budget_ms` caps how long an injected latency spike may stall
   /// this call: when the spike exceeds it, the call stalls only for the
@@ -143,39 +153,20 @@ class ClusterSim {
   ///
   /// `exec` forwards per-call execution knobs (intra-node morsel
   /// parallelism) to the node's driver.
-  Result<xdb::QueryResult> ExecuteOnNode(size_t i, const std::string& query,
-                                         double stall_budget_ms = -1.0,
-                                         const xdb::ExecParams& exec = {});
-
-  /// Prepares a compiled query on node `i`'s driver. A down (or
-  /// fail-after-exhausted) node rejects with kUnavailable, but the fault
-  /// gate's stochastic knobs are NOT consulted: preparation consumes no
-  /// fault-RNG draw and no engine-request budget, so fault-injection
-  /// schedules (and the tests that pin them) see exactly one draw per
-  /// *executed* attempt, prepared or not. Thread-safe.
-  Result<PreparedSubQueryPtr> PrepareOnNode(
-      size_t i, const xquery::CompiledQueryPtr& compiled);
-
-  /// Prepared counterpart of ExecuteOnNode: the same fault gate (one draw
-  /// / one engine-request per attempt, same stall-budget cap), then the
-  /// node's driver executes the handle without recompiling. Thread-safe.
   Result<xdb::QueryResult> ExecutePreparedOnNode(
       size_t i, const PreparedSubQuery& prepared,
       double stall_budget_ms = -1.0, const xdb::ExecParams& exec = {});
 
-  /// Streaming counterparts of ExecuteOnNode/ExecutePreparedOnNode: the
-  /// same fault gate runs ONCE at open (one draw / one engine request per
-  /// attempt — a stream is one engine request no matter how many blocks
-  /// it yields), then the returned stream applies the node's
-  /// deterministic streaming knobs: per-block stalls
-  /// (stream_block_stall_ms), fail-after-N-blocks
-  /// (fail_stream_after_blocks), and — when the gate drew response
-  /// corruption — one flipped character in the first non-empty block,
-  /// after the driver stamped that block's digest. Thread-safe to open;
-  /// the returned stream follows the driver stream's one-thread contract.
-  Result<SubQueryStreamPtr> ExecuteStreamOnNode(
-      size_t i, const std::string& query, double stall_budget_ms = -1.0,
-      const xdb::ExecParams& exec = {});
+  /// Streaming counterpart of ExecutePreparedOnNode: the same fault gate
+  /// runs ONCE at open (one draw / one engine request per attempt — a
+  /// stream is one engine request no matter how many blocks it yields),
+  /// then the returned stream applies the node's deterministic streaming
+  /// knobs: per-block stalls (stream_block_stall_ms),
+  /// fail-after-N-blocks (fail_stream_after_blocks), and — when the gate
+  /// drew response corruption — one flipped character in the first
+  /// non-empty block, after the driver stamped that block's digest.
+  /// Thread-safe to open; the returned stream follows the driver
+  /// stream's one-thread contract.
   Result<SubQueryStreamPtr> ExecutePreparedStreamOnNode(
       size_t i, const PreparedSubQuery& prepared,
       double stall_budget_ms = -1.0, const xdb::ExecParams& exec = {});
@@ -234,31 +225,22 @@ class ClusterSim {
   /// flight. Stochastic knobs draw in a fixed order (transient, crash,
   /// spike, corruption) and only when their rate is > 0, so enabling a
   /// new knob never perturbs the draw schedule of profiles that don't
-  /// use it. Shared by ExecuteOnNode and ExecutePreparedOnNode so both
-  /// paths have identical fault semantics. On a crash-restart rejection
-  /// `*crash_restart` is set and the caller drops the node's caches
-  /// outside the fault mutex. A spike longer than `stall_budget_ms`
-  /// (when >= 0) fails the gate with kDeadlineExceeded and `*spike_ms`
-  /// set to the capped stall — the request hangs up at the budget and
-  /// never reaches the engine, so it does not count as an engine
-  /// request (the RNG still draws every knob, keeping the schedule
-  /// identical to an uncapped run).
+  /// use it. On a crash-restart rejection `*crash_restart` is set and the
+  /// caller drops the node's caches outside the fault mutex. A spike
+  /// longer than `stall_budget_ms` (when >= 0) fails the gate with
+  /// kDeadlineExceeded and `*spike_ms` set to the capped stall — the
+  /// request hangs up at the budget and never reaches the engine, so it
+  /// does not count as an engine request (the RNG still draws every
+  /// knob, keeping the schedule identical to an uncapped run).
   Status FaultGate(size_t i, double stall_budget_ms, double* spike_ms,
                    bool* corrupt_response, bool* crash_restart);
 
-  /// Shared tail of ExecuteOnNode/ExecutePreparedOnNode: fault gate,
-  /// capped stall, driver execution via `run`, response corruption.
-  Result<xdb::QueryResult> ExecuteGated(
-      size_t i, double stall_budget_ms,
-      const std::function<Result<xdb::QueryResult>()>& run);
-
-  /// Streaming tail: fault gate once at open, capped stall, stream open
-  /// via `open`, then the driver stream wrapped with this node's
-  /// deterministic streaming knobs (snapshotted under the fault mutex at
-  /// open time).
-  Result<SubQueryStreamPtr> ExecuteStreamGated(
-      size_t i, double stall_budget_ms,
-      const std::function<Result<SubQueryStreamPtr>()>& open);
+  /// FaultGate plus its effects outside the fault mutex: the cache drop
+  /// of a crash-restart and the (capped) latency-spike stall. Shared by
+  /// ExecutePreparedOnNode and ExecutePreparedStreamOnNode, so both have
+  /// identical fault semantics.
+  Status PassFaultGate(size_t i, double stall_budget_ms,
+                       bool* corrupt_response);
 
   std::vector<std::unique_ptr<LocalXdbDriver>> nodes_;
   std::vector<std::unique_ptr<NodeFaultState>> faults_;

@@ -36,12 +36,12 @@ struct SubQuery {
   /// Empty means "primary only" — the executor treats it as {node}.
   std::vector<size_t> replicas;
   /// The compiled form of `query`, built structurally by the decomposer
-  /// (cloned + rewritten AST, never re-parsed from the string). When set,
-  /// the executor ships it through the driver's prepared-execution path —
+  /// (cloned + rewritten AST, never re-parsed from the string). The
+  /// executor ships it through the driver's prepared-execution path —
   /// prepared once per (sub-query, node) and reused across retries and
-  /// failovers. Null on hand-built plans; the executor then falls back to
-  /// string execution. Keep last: hand-built plans aggregate-initialize
-  /// the leading fields positionally.
+  /// failovers. Required: QueryService::ExecutePlan rejects a sub-query
+  /// without it (kInvalidArgument); hand-built plans compile their text
+  /// with xquery::CompiledQuery::Compile.
   xquery::CompiledQueryPtr compiled;
 };
 
@@ -58,8 +58,9 @@ struct DistributedPlan {
   std::vector<std::string> notes;
   /// The compiled original query — the single parse of the whole
   /// middleware execution. Join composition re-executes it over the
-  /// reconstructed documents without re-parsing. Null on hand-built
-  /// plans (the service then falls back to parsing `original_query`).
+  /// reconstructed documents without re-parsing, so a kJoinReconstruct
+  /// plan without it is rejected by QueryService::ExecutePlan
+  /// (kInvalidArgument).
   xquery::CompiledQueryPtr compiled;
 };
 

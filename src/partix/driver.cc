@@ -155,25 +155,6 @@ Status LocalXdbDriver::StoreSerializedDocument(
                                          std::move(metadata));
 }
 
-Result<xdb::QueryResult> LocalXdbDriver::Execute(const std::string& query,
-                                                 const xdb::ExecParams& exec) {
-  const DriverTelemetry& telemetry = DriverTelemetry::Get();
-  // Shared: concurrent queries (and this query's own morsel workers, who
-  // run under the engine's shared lock on the pool this thread blocks in)
-  // proceed together; only loads/DDL exclude us.
-  TimedSharedLock lock(mu_);
-  telemetry.executes->Add();
-  Stopwatch engine_watch;
-  Result<xdb::QueryResult> result = db_.Execute(query, exec);
-  telemetry.engine_ms->Observe(engine_watch.ElapsedMillis());
-  // Stamp the response digest node-side, while the bytes are still what
-  // the engine produced: anything that mangles `serialized` after this
-  // point (the simulated wire, a buggy middlebox) is detectable by the
-  // executor's integrity check.
-  if (result.ok()) result->response_digest = Fnv1a64(result->serialized);
-  return result;
-}
-
 Result<PreparedSubQueryPtr> LocalXdbDriver::Prepare(
     const xquery::CompiledQueryPtr& compiled) {
   const DriverTelemetry& telemetry = DriverTelemetry::Get();
@@ -192,28 +173,20 @@ Result<xdb::QueryResult> LocalXdbDriver::ExecutePrepared(
         "prepared handle was not produced by a LocalXdbDriver");
   }
   const DriverTelemetry& telemetry = DriverTelemetry::Get();
+  // Shared: concurrent queries (and this query's own morsel workers, who
+  // run under the engine's shared lock on the pool this thread blocks in)
+  // proceed together; only loads/DDL exclude us.
   TimedSharedLock lock(mu_);
   telemetry.executes->Add();
   Stopwatch engine_watch;
   Result<xdb::QueryResult> result = db_.ExecutePrepared(*local->plan(), exec);
   telemetry.engine_ms->Observe(engine_watch.ElapsedMillis());
+  // Stamp the response digest node-side, while the bytes are still what
+  // the engine produced: anything that mangles `serialized` after this
+  // point (the simulated wire, a buggy middlebox) is detectable by the
+  // executor's integrity check.
   if (result.ok()) result->response_digest = Fnv1a64(result->serialized);
   return result;
-}
-
-Result<SubQueryStreamPtr> LocalXdbDriver::ExecuteStream(
-    const std::string& query, const xdb::ExecParams& exec) {
-  const DriverTelemetry& telemetry = DriverTelemetry::Get();
-  std::shared_lock<std::shared_mutex> lock = AcquireTimedSharedLock(mu_);
-  telemetry.executes->Add();
-  Stopwatch engine_watch;
-  Result<xdb::ResultCursorPtr> cursor = db_.ExecuteStream(query, exec);
-  if (!cursor.ok()) {
-    telemetry.engine_ms->Observe(engine_watch.ElapsedMillis());
-    return cursor.status();
-  }
-  return SubQueryStreamPtr(std::make_unique<LocalSubQueryStream>(
-      std::move(lock), std::move(*cursor)));
 }
 
 Result<SubQueryStreamPtr> LocalXdbDriver::ExecutePreparedStream(

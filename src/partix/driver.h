@@ -40,10 +40,10 @@ using PreparedSubQueryPtr = std::shared_ptr<const PreparedSubQuery>;
 
 /// A pull-based streamed sub-query response: the driver-side face of the
 /// batched result pipeline. Blocks arrive in result order; their
-/// serializations concatenate to exactly what the materialized Execute
-/// would have returned, and each block carries a driver-stamped digest so
-/// the executor can verify integrity block-by-block. metrics() is
-/// complete once Next() has returned false.
+/// serializations concatenate to exactly what the materialized
+/// ExecutePrepared would have returned, and each block carries a
+/// driver-stamped digest so the executor can verify integrity
+/// block-by-block. metrics() is complete once Next() has returned false.
 ///
 /// Thread contract: NOT thread-safe, and (for lock-bound drivers like
 /// LocalXdbDriver) the stream holds node-side locks from open to
@@ -70,14 +70,19 @@ using SubQueryStreamPtr = std::unique_ptr<SubQueryStream>;
 /// embedded xdb engine (the eXist stand-in), but the query service is
 /// written against this interface.
 ///
+/// Every sub-query reaches a node the same way: Prepare a compiled query
+/// once, then execute the handle materialized (ExecutePrepared) or as a
+/// block stream (ExecutePreparedStream).
+///
 /// Thread-safety contract: implementations must tolerate concurrent
-/// Execute/Prepare/ExecutePrepared/DropCaches calls from executor worker
-/// threads — a node is "one DBMS", and one DBMS accepts requests from
-/// many connections at once. Under the multi-query scheduler those
-/// workers serve *different queries*: queries on the same node may run
-/// concurrently (LocalXdbDriver admits readers in parallel and only
-/// serializes writes, like a real DBMS's MGL), and per-node fairness is
-/// the scheduler's admission gate, not a driver mutex.
+/// Prepare/ExecutePrepared/ExecutePreparedStream/DropCaches calls from
+/// executor worker threads — a node is "one DBMS", and one DBMS accepts
+/// requests from many connections at once. Under the multi-query
+/// scheduler those workers serve *different queries*: queries on the
+/// same node may run concurrently (LocalXdbDriver admits readers in
+/// parallel and only serializes writes, like a real DBMS's MGL), and
+/// per-node fairness is the scheduler's admission gate, not a driver
+/// mutex.
 class Driver {
  public:
   virtual ~Driver() = default;
@@ -95,15 +100,6 @@ class Driver {
       const std::string& collection, std::string doc_name, std::string xml,
       std::map<std::string, std::string> metadata) = 0;
 
-  /// Executes a query. Implementations stamp
-  /// `QueryResult::response_digest` (FNV-1a of the serialized result)
-  /// node-side before the response crosses the wire, so the executor can
-  /// detect in-flight corruption end-to-end. `exec` carries per-call
-  /// execution knobs (intra-node morsel parallelism); drivers that cannot
-  /// honor them run sequentially — results are identical either way.
-  virtual Result<xdb::QueryResult> Execute(
-      const std::string& query, const xdb::ExecParams& exec = {}) = 0;
-
   /// Compiles (or fetches from the node's plan cache) a prepared handle
   /// for a query the middleware already compiled. The handle is reusable
   /// for any number of ExecutePrepared calls on this driver.
@@ -111,17 +107,20 @@ class Driver {
       const xquery::CompiledQueryPtr& compiled) = 0;
 
   /// Executes a handle obtained from this driver's Prepare. Pays no parse
-  /// and no static analysis (`metrics.compile_ms == 0`).
+  /// and no static analysis (`metrics.compile_ms == 0`). Implementations
+  /// stamp `QueryResult::response_digest` (FNV-1a of the serialized
+  /// result) node-side before the response crosses the wire, so the
+  /// executor can detect in-flight corruption end-to-end. `exec` carries
+  /// per-call execution knobs (intra-node morsel parallelism); drivers
+  /// that cannot honor them run sequentially — results are identical
+  /// either way.
   virtual Result<xdb::QueryResult> ExecutePrepared(
       const PreparedSubQuery& prepared, const xdb::ExecParams& exec = {}) = 0;
 
-  /// Streaming forms of Execute/ExecutePrepared: a pull-based block
-  /// cursor instead of one materialized response. Blocks are digest-
-  /// stamped individually; the concatenation is byte-identical to the
-  /// materialized call. For ExecutePreparedStream the handle must outlive
-  /// the stream.
-  virtual Result<SubQueryStreamPtr> ExecuteStream(
-      const std::string& query, const xdb::ExecParams& exec = {}) = 0;
+  /// Streaming form of ExecutePrepared: a pull-based block cursor instead
+  /// of one materialized response. Blocks are digest-stamped
+  /// individually; the concatenation is byte-identical to the
+  /// materialized call. The handle must outlive the stream.
   virtual Result<SubQueryStreamPtr> ExecutePreparedStream(
       const PreparedSubQuery& prepared, const xdb::ExecParams& exec = {}) = 0;
 
@@ -158,13 +157,13 @@ class Driver {
 /// Driver for an in-process xdb::Database instance.
 ///
 /// Thread-safe for the Driver interface with reader-writer semantics: the
-/// query surface (Execute/Prepare/ExecutePrepared and the repair-side
-/// reads) holds a shared lock, so any number of executor workers — and
-/// the morsel workers a query fans out inside the engine — read the node
-/// concurrently; DDL and document loading take the lock exclusively.
-/// True cross-node parallelism is unchanged: distinct nodes share no
-/// mutable state (each engine has its own name pool, stores, caches,
-/// indexes). Lock queueing is observable per class via the
+/// query surface (Prepare/ExecutePrepared/ExecutePreparedStream and the
+/// repair-side reads) holds a shared lock, so any number of executor
+/// workers — and the morsel workers a query fans out inside the engine —
+/// read the node concurrently; DDL and document loading take the lock
+/// exclusively. True cross-node parallelism is unchanged: distinct nodes
+/// share no mutable state (each engine has its own name pool, stores,
+/// caches, indexes). Lock queueing is observable per class via the
 /// partix_driver_{read,write}_lock_wait_ms histograms.
 class LocalXdbDriver : public Driver {
  public:
@@ -178,15 +177,11 @@ class LocalXdbDriver : public Driver {
   Status StoreSerializedDocument(
       const std::string& collection, std::string doc_name, std::string xml,
       std::map<std::string, std::string> metadata) override;
-  Result<xdb::QueryResult> Execute(const std::string& query,
-                                   const xdb::ExecParams& exec = {}) override;
   Result<PreparedSubQueryPtr> Prepare(
       const xquery::CompiledQueryPtr& compiled) override;
   Result<xdb::QueryResult> ExecutePrepared(
       const PreparedSubQuery& prepared,
       const xdb::ExecParams& exec = {}) override;
-  Result<SubQueryStreamPtr> ExecuteStream(
-      const std::string& query, const xdb::ExecParams& exec = {}) override;
   Result<SubQueryStreamPtr> ExecutePreparedStream(
       const PreparedSubQuery& prepared,
       const xdb::ExecParams& exec = {}) override;

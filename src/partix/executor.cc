@@ -210,10 +210,10 @@ void Executor::RunOne(const SubQuery& sub, size_t index,
     exec.stream_block_items = options.stream_block_items;
   }
 
-  // Compile-once contract: when the plan ships a compiled sub-query, each
-  // node is prepared at most once for this sub-query, on first contact;
-  // retries and failovers (including wrap-around back to an earlier node)
-  // reuse the cached handle, so fault recovery never recompiles.
+  // Compile-once contract: each node is prepared at most once for this
+  // sub-query, on first contact; retries and failovers (including
+  // wrap-around back to an earlier node) reuse the cached handle, so
+  // fault recovery never recompiles.
   std::map<size_t, PreparedSubQueryPtr> prepared_by_node;
 
   // Finalizes the per-sub-query bookkeeping every return path shares:
@@ -407,44 +407,40 @@ void Executor::RunOne(const SubQuery& sub, size_t index,
     Stopwatch attempt_watch(clock_);
     bool stream_opened = false;
     Result<xdb::QueryResult> result = [&]() -> Result<xdb::QueryResult> {
-      const PreparedSubQuery* handle = nullptr;
-      if (sub.compiled != nullptr) {
-        auto it = prepared_by_node.find(node);
-        if (it == prepared_by_node.end()) {
-          const double prepare_start =
-              tracer != nullptr ? tracer->NowMs() : 0.0;
-          Result<PreparedSubQueryPtr> prep =
-              cluster_->PrepareOnNode(node, sub.compiled);
-          if (attempt_span != nullptr) {
-            attempt_span->children.emplace_back("prepare");
-            telemetry::TraceSpan& prepare_span =
-                attempt_span->children.back();
-            prepare_span.start_ms = prepare_start;
-            prepare_span.duration_ms = tracer->NowMs() - prepare_start;
-            if (prep.ok()) {
-              prepare_span.AddTag("cache",
-                                  (*prep)->cache_hit() ? "hit" : "miss");
-              prepare_span.AddTag("compile_ms",
-                                  std::to_string((*prep)->compile_ms()));
-            } else {
-              prepare_span.AddTag("status",
-                                  StatusCodeName(prep.status().code()));
-            }
-          }
-          // A failed prepare (e.g. the node went down after candidate
-          // selection) flows through the normal retry/failover handling.
-          if (!prep.ok()) return prep.status();
-          ++out->prepares;
-          if ((*prep)->cache_hit()) {
-            ++out->plan_cache_hits;
+      auto it = prepared_by_node.find(node);
+      if (it == prepared_by_node.end()) {
+        const double prepare_start =
+            tracer != nullptr ? tracer->NowMs() : 0.0;
+        Result<PreparedSubQueryPtr> prep =
+            cluster_->PrepareOnNode(node, sub.compiled);
+        if (attempt_span != nullptr) {
+          attempt_span->children.emplace_back("prepare");
+          telemetry::TraceSpan& prepare_span = attempt_span->children.back();
+          prepare_span.start_ms = prepare_start;
+          prepare_span.duration_ms = tracer->NowMs() - prepare_start;
+          if (prep.ok()) {
+            prepare_span.AddTag("cache",
+                                (*prep)->cache_hit() ? "hit" : "miss");
+            prepare_span.AddTag("compile_ms",
+                                std::to_string((*prep)->compile_ms()));
           } else {
-            ++out->plan_cache_misses;
+            prepare_span.AddTag("status",
+                                StatusCodeName(prep.status().code()));
           }
-          out->compile_ms += (*prep)->compile_ms();
-          it = prepared_by_node.emplace(node, std::move(*prep)).first;
         }
-        handle = it->second.get();
+        // A failed prepare (e.g. the node went down after candidate
+        // selection) flows through the normal retry/failover handling.
+        if (!prep.ok()) return prep.status();
+        ++out->prepares;
+        if ((*prep)->cache_hit()) {
+          ++out->plan_cache_hits;
+        } else {
+          ++out->plan_cache_misses;
+        }
+        out->compile_ms += (*prep)->compile_ms();
+        it = prepared_by_node.emplace(node, std::move(*prep)).first;
       }
+      const PreparedSubQuery& handle = *it->second;
       if (rpc_sec > 0.0) {
         // Emulate the synchronous round trip to a remote DBMS node: the
         // worker blocks (holding no core) the way a real driver would
@@ -460,11 +456,8 @@ void Executor::RunOne(const SubQuery& sub, size_t index,
         // replay verification makes the next attempt's re-produced
         // prefix invisible to the consumer.
         Result<SubQueryStreamPtr> opened =
-            handle != nullptr
-                ? cluster_->ExecutePreparedStreamOnNode(node, *handle,
-                                                        stall_budget_ms, exec)
-                : cluster_->ExecuteStreamOnNode(node, sub.query,
-                                                stall_budget_ms, exec);
+            cluster_->ExecutePreparedStreamOnNode(node, handle,
+                                                  stall_budget_ms, exec);
         if (!opened.ok()) return opened.status();
         stream_opened = true;
         SubQueryStreamPtr stream = std::move(*opened);
@@ -501,11 +494,8 @@ void Executor::RunOne(const SubQuery& sub, size_t index,
         done.metrics = stream->metrics();
         return done;
       }
-      if (handle != nullptr) {
-        return cluster_->ExecutePreparedOnNode(node, *handle,
-                                               stall_budget_ms, exec);
-      }
-      return cluster_->ExecuteOnNode(node, sub.query, stall_budget_ms, exec);
+      return cluster_->ExecutePreparedOnNode(node, handle, stall_budget_ms,
+                                             exec);
     }();
     const double attempt_ms = attempt_watch.ElapsedMillis();
 
@@ -523,17 +513,11 @@ void Executor::RunOne(const SubQuery& sub, size_t index,
     // End-to-end integrity: recompute the digest the node stamped before
     // the response crossed the (simulated) wire. A mismatch means the
     // bytes were mangled in flight — the engine's work happened (counted
-    // above) but the result is unusable, so fold in its compile
-    // accounting, discard it, and fail over as a retryable node fault. A
-    // corrupt response must never be served.
+    // above) but the result is unusable, so discard it and fail over as a
+    // retryable node fault. A corrupt response must never be served.
     if (result.ok() && options.verify_response_digests &&
         result->response_digest != 0 &&
         Fnv1a64(result->serialized) != result->response_digest) {
-      if (sub.compiled == nullptr) {
-        out->compile_ms += result->metrics.compile_ms;
-        out->plan_cache_hits += result->metrics.plan_cache_hits;
-        out->plan_cache_misses += result->metrics.plan_cache_misses;
-      }
       ++out->corrupt_responses;
       counters.corrupt_responses->Add();
       if (attempt_span != nullptr) attempt_span->AddTag("corrupt", "true");
@@ -547,15 +531,7 @@ void Executor::RunOne(const SubQuery& sub, size_t index,
     if (result.ok() && options.stream == nullptr && attempt_budget_ms > 0.0 &&
         attempt_ms > attempt_budget_ms) {
       // The node answered, but past its budget: a real client would have
-      // hung up. Discard the result and treat as a timeout — after
-      // folding in the engine-side work that DID happen (compile time,
-      // plan-cache traffic on the string path), so discarded successes
-      // leave no accounting hole.
-      if (sub.compiled == nullptr) {
-        out->compile_ms += result->metrics.compile_ms;
-        out->plan_cache_hits += result->metrics.plan_cache_hits;
-        out->plan_cache_misses += result->metrics.plan_cache_misses;
-      }
+      // hung up. Discard the result and treat as a timeout.
       ++out->discarded_successes;
       result = Status::DeadlineExceeded(
           "attempt to node" + std::to_string(node) + " took " +
@@ -571,14 +547,6 @@ void Executor::RunOne(const SubQuery& sub, size_t index,
     }
 
     if (result.ok()) {
-      if (sub.compiled == nullptr) {
-        // String path: the node compiled (or plan-cache-served) inside
-        // Execute; lift its accounting onto the outcome so both paths
-        // report uniformly.
-        out->compile_ms += result->metrics.compile_ms;
-        out->plan_cache_hits += result->metrics.plan_cache_hits;
-        out->plan_cache_misses += result->metrics.plan_cache_misses;
-      }
       RecordSuccess(node);
       if (health_ != nullptr) health_->ReportSuccess(node);
       out->result = std::move(result);

@@ -143,8 +143,8 @@ struct SubQueryOutcome {
   /// Attempts the engine *completed successfully* but whose wall time
   /// exceeded the attempt budget, so the result was discarded and the
   /// attempt recorded as a timeout. The engine-side work still happened:
-  /// these attempts count in `engine_requests` and their compile /
-  /// plan-cache accounting is folded into the fields below.
+  /// these attempts count in `engine_requests` (their handle's compile
+  /// cost was already counted by the prepare below).
   size_t discarded_successes = 0;
   /// Milliseconds between Dispatch admitting the sub-query and a worker
   /// starting it (pool queueing; ~0 under sequential dispatch).
@@ -152,11 +152,10 @@ struct SubQueryOutcome {
   // --- compile-once accounting ---
   /// Node-side Prepare calls made for this sub-query: at most one per
   /// distinct node tried, however many attempts ran there (retries and
-  /// failovers reuse the handle). 0 when the sub-query carried no
-  /// compiled form and executed by string.
+  /// failovers reuse the handle). Never 0 on success: every sub-query
+  /// executes through a prepared handle.
   size_t prepares = 0;
-  /// Of those prepares (or, on the string path, of the executions that
-  /// produced `result`), how many were served from the node's plan cache.
+  /// Of those prepares, how many were served from the node's plan cache.
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
   /// Node-side compile cost this sub-query actually paid (ms, summed over
@@ -226,14 +225,6 @@ class Executor {
   double Dispatch(const std::vector<SubQuery>& subqueries,
                   const DispatchOptions& options,
                   std::vector<SubQueryOutcome>* outcomes);
-
-  /// Back-compat convenience: Dispatch with default retry policy.
-  double Dispatch(const std::vector<SubQuery>& subqueries, size_t parallelism,
-                  std::vector<SubQueryOutcome>* outcomes) {
-    DispatchOptions options;
-    options.parallelism = parallelism;
-    return Dispatch(subqueries, options, outcomes);
-  }
 
   /// Replaces the breaker policy and resets all breaker state.
   /// Coordinator-only.

@@ -397,6 +397,16 @@ Result<DistributedResult> QueryService::ExecutePlan(
   if (plan.subqueries.empty()) {
     return Status::InvalidArgument("plan has no sub-queries");
   }
+  for (const SubQuery& sub : plan.subqueries) {
+    if (!sub.compiled) {
+      return Status::InvalidArgument("sub-query for fragment " +
+                                     sub.fragment + " has no compiled form");
+    }
+  }
+  if (plan.composition == Composition::kJoinReconstruct && !plan.compiled) {
+    return Status::InvalidArgument(
+        "join plan has no compiled original query");
+  }
   const ServiceTelemetry& counters = ServiceTelemetry::Get();
   counters.queries->Add();
   DistributedResult out;
@@ -498,13 +508,12 @@ Result<DistributedResult> QueryService::ExecutePlan(
   // returns.
   InflightResultCharge inflight(governor_, governor_id_);
 
-  // Streaming compose state, filled by the consumer loop below and read
-  // by the composition switch; untouched on the materialized path.
+  // Streaming compose state, filled by the consumer loop below; untouched
+  // on the materialized path.
   double ttfb_ms = -1.0;
   std::string streamed;                 // union: the answer, built in-stream
   uint64_t streamed_items = 0;
   std::vector<xdb::QueryResult> staged_lanes;  // sum: digits; join: items
-  std::vector<bool> lane_ok;
 
   if (options.streaming) {
     // Streaming pipeline: workers push fixed-size result blocks into a
@@ -515,7 +524,6 @@ Result<DistributedResult> QueryService::ExecutePlan(
     // ascending index order, and the lane under the consumer's cursor is
     // exempt from the buffer cap (see stream.h).
     staged_lanes.resize(live.size());
-    lane_ok.assign(live.size(), false);
     BlockChannel channel(live.size(), options.stream_buffer_bytes,
                          governor_, governor_id_);
     dispatch_options.stream = &channel;
@@ -591,7 +599,6 @@ Result<DistributedResult> QueryService::ExecutePlan(
         if (direct_union) abort_compose = true;
         continue;
       }
-      lane_ok[i] = true;
       if (plan.composition == Composition::kUnion) {
         if (direct_union) {
           if (lane_emitted) streamed_items += lane_items;
@@ -678,6 +685,9 @@ Result<DistributedResult> QueryService::ExecutePlan(
     }
   }
 
+  // The successful lanes' results, in plan order: streaming staged their
+  // payload from the channel (a lane ends clean exactly when its outcome
+  // is ok), the materialized dispatch returned it in the outcome.
   std::vector<xdb::QueryResult> partials;
   partials.reserve(live.size());
   uint64_t total_result_bytes = 0;
@@ -705,7 +715,8 @@ Result<DistributedResult> QueryService::ExecutePlan(
     out.sum_node_ms += stats.elapsed_ms;
     total_result_bytes += stats.result_bytes;
     out.subqueries.push_back(std::move(stats));
-    if (!options.streaming) partials.push_back(std::move(*result));
+    partials.push_back(
+        std::move(options.streaming ? staged_lanes[i] : *result));
   }
   // Materialized path: every partial is now held at once, so charge the
   // lot; the streaming path charged its (bounded) staging block-by-block
@@ -760,45 +771,27 @@ Result<DistributedResult> QueryService::ExecutePlan(
     }
     case Composition::kSumCounts: {
       double sum = 0.0;
-      if (options.streaming) {
-        for (size_t i = 0; i < staged_lanes.size(); ++i) {
-          if (!lane_ok[i]) continue;
-          double v = 0.0;
-          if (!ParseDouble(staged_lanes[i].serialized, &v)) {
-            return Status::Internal(
-                "sum composition over a non-numeric partial result: '" +
-                staged_lanes[i].serialized + "'");
-          }
-          sum += v;
+      for (xdb::QueryResult& partial : partials) {
+        double v = 0.0;
+        if (!ParseDouble(partial.serialized, &v)) {
+          return Status::Internal(
+              "sum composition over a non-numeric partial result: '" +
+              partial.serialized + "'");
         }
-      } else {
-        for (xdb::QueryResult& partial : partials) {
-          double v = 0.0;
-          if (!ParseDouble(partial.serialized, &v)) {
-            return Status::Internal(
-                "sum composition over a non-numeric partial result: '" +
-                partial.serialized + "'");
-          }
-          sum += v;
-          inflight.Release(partial.serialized.size());
-        }
+        sum += v;
+        inflight.Release(partial.serialized.size());
       }
       out.serialized = FormatNumber(sum);
       out.result_items = 1;
       break;
     }
     case Composition::kJoinReconstruct: {
-      if (options.streaming) {
-        for (size_t i = 0; i < staged_lanes.size(); ++i) {
-          if (lane_ok[i]) partials.push_back(std::move(staged_lanes[i]));
-        }
-      } else {
-        // The join reads the fetched items, not their serialized bytes:
-        // release those before reconstruction starts allocating.
-        for (xdb::QueryResult& partial : partials) {
-          inflight.Release(partial.serialized.size());
-          std::string().swap(partial.serialized);
-        }
+      // The join reads the fetched items, not their serialized bytes:
+      // release those before reconstruction starts allocating (streaming
+      // staged items only, so it holds none).
+      for (xdb::QueryResult& partial : partials) {
+        inflight.Release(partial.serialized.size());
+        std::string().swap(partial.serialized);
       }
       PARTIX_ASSIGN_OR_RETURN(
           out.serialized,
@@ -882,18 +875,11 @@ Result<std::string> QueryService::ComposeJoin(
   }
 
   // Reuse the plan's compiled original query: the scratch engine analyzes
-  // the shared AST without re-parsing. Hand-built plans without a
-  // compiled form fall back to the string path.
-  xdb::QueryResult final_result;
-  if (plan.compiled != nullptr) {
-    PARTIX_ASSIGN_OR_RETURN(xdb::PrepareOutcome prepared,
-                            scratch.Prepare(plan.compiled));
-    PARTIX_ASSIGN_OR_RETURN(final_result,
-                            scratch.ExecutePrepared(*prepared.plan));
-  } else {
-    PARTIX_ASSIGN_OR_RETURN(final_result,
-                            scratch.Execute(plan.original_query));
-  }
+  // the shared AST without re-parsing.
+  PARTIX_ASSIGN_OR_RETURN(xdb::PrepareOutcome prepared,
+                          scratch.Prepare(plan.compiled));
+  PARTIX_ASSIGN_OR_RETURN(xdb::QueryResult final_result,
+                          scratch.ExecutePrepared(*prepared.plan));
   *result_items = final_result.metrics.result_items;
   return final_result.serialized;
 }

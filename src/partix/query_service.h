@@ -253,7 +253,10 @@ class QueryService {
                                         ExecutionOptions());
 
   /// Executes a pre-built plan (PartiX's prototype mode: "data location is
-  /// provided along with sub-queries").
+  /// provided along with sub-queries"). Every sub-query must carry its
+  /// compiled form, and a kJoinReconstruct plan its compiled original;
+  /// otherwise the call fails with kInvalidArgument before dispatching
+  /// anything.
   Result<DistributedResult> ExecutePlan(const DistributedPlan& plan,
                                         const ExecutionOptions& options =
                                             ExecutionOptions());

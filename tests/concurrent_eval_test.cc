@@ -36,6 +36,7 @@
 #include "workload/queries.h"
 #include "workload/schemas.h"
 #include "xml/name_pool.h"
+#include "xquery/compiled_query.h"
 
 namespace partix {
 namespace {
@@ -267,12 +268,20 @@ TEST(DriverConcurrentTest, ConcurrentQueriesWithWriterMakeProgress) {
   // free-running loop): std::shared_mutex may prefer readers, so
   // saturating every core with re-acquiring readers could legally
   // starve the writer past the test timeout on small TSan hosts.
+  auto compiled =
+      xquery::CompiledQuery::Compile("count(collection(\"items\")/Item)");
+  ASSERT_TRUE(compiled.ok());
+  auto count_items = [&driver, &compiled]() -> Result<xdb::QueryResult> {
+    PARTIX_ASSIGN_OR_RETURN(middleware::PreparedSubQueryPtr handle,
+                            driver.Prepare(*compiled));
+    return driver.ExecutePrepared(*handle);
+  };
   std::atomic<size_t> reader_errors{0};
   std::vector<std::thread> readers;
   for (size_t t = 0; t < 4; ++t) {
-    readers.emplace_back([&driver, &reader_errors] {
+    readers.emplace_back([&count_items, &reader_errors] {
       for (int iter = 0; iter < 25; ++iter) {
-        auto result = driver.Execute("count(collection(\"items\")/Item)");
+        auto result = count_items();
         if (!result.ok()) {
           ++reader_errors;
           continue;
@@ -294,7 +303,7 @@ TEST(DriverConcurrentTest, ConcurrentQueriesWithWriterMakeProgress) {
   for (std::thread& reader : readers) reader.join();
   EXPECT_EQ(reader_errors.load(), 0u);
 
-  auto final_count = driver.Execute("count(collection(\"items\")/Item)");
+  auto final_count = count_items();
   ASSERT_TRUE(final_count.ok());
   EXPECT_EQ(final_count->serialized, "24");
 }

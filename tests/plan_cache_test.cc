@@ -7,6 +7,8 @@
 //     workload query under every fragmentation design
 //   - executor: one Prepare per (sub-query, node), reused across
 //     fault-injected retries
+//   - plan validation: a plan without its compiled forms is rejected
+//     before anything is dispatched
 //   - parse-once contract: a middleware execution parses on the
 //     coordinator thread exactly once
 //   - concurrency: parallel Prepare/ExecutePrepared through a
@@ -288,6 +290,59 @@ TEST(ExecutorPrepareReuseTest, RetriesReusePreparedHandle) {
   EXPECT_EQ(outcomes[0].result->serialized, "1");
 }
 
+// --- plan validation: compiled forms are required ------------------------
+
+TEST(PlanValidationTest, UncompiledPlansAreRejectedBeforeDispatch) {
+  middleware::DistributionCatalog catalog;
+  middleware::ClusterSim cluster(2, xdb::DatabaseOptions(),
+                                 middleware::NetworkModel());
+  for (size_t node = 0; node < 2; ++node) {
+    ASSERT_TRUE(cluster.database(node).CreateCollection("items").ok());
+    ASSERT_TRUE(cluster.database(node)
+                    .StoreSerialized(
+                        "items", "d0",
+                        "<Item><Code>1</Code><Section>CD</Section></Item>")
+                    .ok());
+  }
+  middleware::QueryService service(&cluster, &catalog);
+  auto compiled = xquery::CompiledQuery::Compile(kCountQuery);
+  ASSERT_TRUE(compiled.ok());
+
+  middleware::DistributedPlan valid;
+  valid.collection = "items";
+  valid.original_query = kCountQuery;
+  valid.composition = middleware::Composition::kSumCounts;
+  valid.compiled = *compiled;
+  for (size_t node = 0; node < 2; ++node) {
+    valid.subqueries.push_back({"items", node, kCountQuery, {}, *compiled});
+  }
+
+  // A sub-query without its compiled form.
+  middleware::DistributedPlan no_sub_form = valid;
+  no_sub_form.subqueries[1].compiled = nullptr;
+  // A join plan without its compiled original (sub-queries compiled).
+  middleware::DistributedPlan no_join_original = valid;
+  no_join_original.composition = middleware::Composition::kJoinReconstruct;
+  no_join_original.compiled = nullptr;
+
+  for (const middleware::DistributedPlan* plan :
+       {&no_sub_form, &no_join_original}) {
+    auto result = service.ExecutePlan(*plan);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << result.status();
+    EXPECT_EQ(cluster.NodeRequestCount(0), 0u);
+    EXPECT_EQ(cluster.NodeRequestCount(1), 0u);
+  }
+
+  // Control: the same plan with every compiled form reaches both nodes.
+  auto result = service.ExecutePlan(valid);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->serialized, "2");
+  EXPECT_EQ(cluster.NodeRequestCount(0), 1u);
+  EXPECT_EQ(cluster.NodeRequestCount(1), 1u);
+}
+
 // --- middleware differential: prepared vs ad-hoc -------------------------
 
 enum class Design { kHorizontal, kVertical, kHybrid1, kHybrid2 };
@@ -359,6 +414,20 @@ TEST_P(PreparedVsAdhocP, ByteIdenticalAnswers) {
   ASSERT_TRUE(publisher.PublishFragmented(data, schema).ok());
   middleware::QueryService service(&cluster, &catalog);
 
+  // The ad-hoc control runs on an identical deployment whose nodes cache
+  // no plans, so every control sub-query is analyzed afresh from its
+  // re-parsed text instead of hitting the plan the structural run cached.
+  xdb::DatabaseOptions uncached;
+  uncached.plan_cache_capacity = 0;
+  middleware::DistributionCatalog control_catalog;
+  middleware::ClusterSim control_cluster(schema.fragments.size(), uncached,
+                                         middleware::NetworkModel());
+  middleware::DataPublisher control_publisher(&control_cluster,
+                                              &control_catalog);
+  ASSERT_TRUE(control_publisher.PublishFragmented(data, schema).ok());
+  middleware::QueryService control_service(&control_cluster,
+                                           &control_catalog);
+
   for (const workload::QuerySpec& q : queries) {
     auto plan = service.decomposer().Decompose(q.text);
     ASSERT_TRUE(plan.ok()) << q.id << ": " << plan.status();
@@ -367,17 +436,21 @@ TEST_P(PreparedVsAdhocP, ByteIdenticalAnswers) {
       EXPECT_NE(sub.compiled, nullptr) << q.id << " " << sub.fragment;
     }
 
-    // Ad-hoc control: the same plan with every compiled artifact
-    // stripped, forcing the string execution path end to end.
+    // Ad-hoc control: the same plan with every structurally built
+    // compiled artifact replaced by a fresh parse of its text.
     middleware::DistributedPlan adhoc = *plan;
-    adhoc.compiled = nullptr;
+    auto reparsed = xquery::CompiledQuery::Compile(adhoc.original_query);
+    ASSERT_TRUE(reparsed.ok()) << q.id << ": " << reparsed.status();
+    adhoc.compiled = *reparsed;
     for (middleware::SubQuery& sub : adhoc.subqueries) {
-      sub.compiled = nullptr;
+      auto sub_reparsed = xquery::CompiledQuery::Compile(sub.query);
+      ASSERT_TRUE(sub_reparsed.ok()) << q.id << " " << sub.fragment;
+      sub.compiled = *sub_reparsed;
     }
 
     auto prepared = service.ExecutePlan(*plan);
     ASSERT_TRUE(prepared.ok()) << q.id << ": " << prepared.status();
-    auto ad_hoc = service.ExecutePlan(adhoc);
+    auto ad_hoc = control_service.ExecutePlan(adhoc);
     ASSERT_TRUE(ad_hoc.ok()) << q.id << ": " << ad_hoc.status();
 
     // Identical plan, identical outcome order, identical composition:
@@ -385,14 +458,16 @@ TEST_P(PreparedVsAdhocP, ByteIdenticalAnswers) {
     EXPECT_EQ(prepared->serialized, ad_hoc->serialized) << q.id;
     EXPECT_EQ(prepared->result_items, ad_hoc->result_items) << q.id;
 
-    // Every sub-query of the prepared run went through Prepare; both
-    // paths account one cache event per executed sub-query.
+    // Every sub-query of both runs went through Prepare: one cache event
+    // per executed sub-query.
     EXPECT_EQ(prepared->plan_cache_hits + prepared->plan_cache_misses,
               prepared->subqueries.size())
         << q.id;
     EXPECT_EQ(ad_hoc->plan_cache_hits + ad_hoc->plan_cache_misses,
               ad_hoc->subqueries.size())
         << q.id;
+    // ...and the control really executed its re-parsed sub-queries.
+    EXPECT_EQ(ad_hoc->plan_cache_hits, 0u) << q.id;
 
     // Re-running the prepared plan hits every node's cache: no compile
     // cost the second time around.

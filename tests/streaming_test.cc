@@ -32,6 +32,7 @@
 #include "telemetry/metrics.h"
 #include "workload/queries.h"
 #include "workload/schemas.h"
+#include "xquery/compiled_query.h"
 
 namespace partix::middleware {
 namespace {
@@ -258,12 +259,19 @@ TEST(StreamingJoinTest, EqualReconstructionIdsMergeInArrivalOrder) {
                   .ok());
   QueryService service(&cluster, &catalog);
 
+  // Hand-built plans carry compiled forms like decomposed ones.
+  auto original =
+      xquery::CompiledQuery::Compile("collection(\"joined\")/wrap");
+  auto left = xquery::CompiledQuery::Compile("collection(\"f_left\")");
+  auto right = xquery::CompiledQuery::Compile("collection(\"f_right\")");
+  ASSERT_TRUE(original.ok() && left.ok() && right.ok());
   DistributedPlan plan;
   plan.collection = "joined";
-  plan.original_query = "collection(\"joined\")/wrap";
+  plan.original_query = (*original)->text();
   plan.composition = Composition::kJoinReconstruct;
-  plan.subqueries.push_back({"f_left", 0, "collection(\"f_left\")", {}});
-  plan.subqueries.push_back({"f_right", 1, "collection(\"f_right\")", {}});
+  plan.compiled = *original;
+  plan.subqueries.push_back({"f_left", 0, (*left)->text(), {}, *left});
+  plan.subqueries.push_back({"f_right", 1, (*right)->text(), {}, *right});
 
   for (bool streaming : {true, false}) {
     for (int run = 0; run < 4; ++run) {
