@@ -1,7 +1,7 @@
 // Engine-level micro-benchmarks (google-benchmark): XML parsing and
-// serialization, path evaluation, index probes, query compilation, the
-// fragmentation operators, and the parse-cache ablation the design calls
-// out (DESIGN.md "ablation candidates").
+// serialization, path evaluation, query compilation, the fragmentation
+// operators, and the parse-cache ablation the design calls out
+// (DESIGN.md "ablation candidates").
 
 #include <benchmark/benchmark.h>
 
@@ -14,7 +14,6 @@
 #include "partix/decomposer.h"
 #include "gen/virtual_store.h"
 #include "storage/document_store.h"
-#include "storage/indexes.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 #include "xpath/eval.h"
@@ -88,22 +87,6 @@ void BM_QueryParse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QueryParse);
-
-void BM_TextIndexProbe(benchmark::State& state) {
-  gen::ItemsGenOptions options;
-  options.doc_count = 256;
-  options.seed = 12;
-  auto coll = gen::GenerateItems(options, nullptr);
-  storage::TextIndex index;
-  for (size_t i = 0; i < coll->docs().size(); ++i) {
-    index.AddDocument(storage::DocSlot(i), *coll->docs()[i]);
-  }
-  for (auto _ : state) {
-    auto candidates = index.CandidatesForContains("good");
-    benchmark::DoNotOptimize(candidates);
-  }
-}
-BENCHMARK(BM_TextIndexProbe);
 
 void BM_ProjectDocument(benchmark::State& state) {
   auto pool = std::make_shared<xml::NamePool>();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <unordered_set>
 
@@ -124,8 +123,7 @@ class PlannedResolver : public xquery::CollectionResolver {
 Database::Database(DatabaseOptions options)
     : options_(options),
       pool_(std::make_shared<xml::NamePool>()),
-      plan_cache_(options.plan_cache_capacity,
-                  options.plan_cache_capacity_bytes) {
+      plan_cache_(options.plan_cache_capacity) {
   if (options_.memory_budget_bytes > 0) {
     governor_ = std::make_unique<memory::MemoryGovernor>(
         options_.memory_budget_bytes);
@@ -205,12 +203,7 @@ Result<const Database::CollectionState*> Database::GetState(
 
 Status Database::IndexDocument(CollectionState* state, storage::DocSlot slot,
                                const xml::Document& doc) {
-  if (options_.enable_element_index) state->element_index.AddDocument(slot, doc);
-  if (options_.enable_text_index) state->text_index.AddDocument(slot, doc);
-  if (options_.enable_value_index) state->value_index.AddDocument(slot, doc);
-  if (options_.enable_structural_index) {
-    state->structural_index.AddDocument(slot, doc);
-  }
+  state->structural_index.AddDocument(slot, doc);
   state->stats.AddDocument(doc, state->store->SerializedSize(slot));
   return Status::Ok();
 }
@@ -505,49 +498,24 @@ void Database::PlanCandidates(
       storage::PostingList current;
       bool initialized = false;
       bool dead = false;
-      auto intersect = [&](const storage::PostingList* postings) {
-        if (postings == nullptr) {
-          dead = true;
-          return;
-        }
-        current = initialized ? storage::IntersectPostings(current, *postings)
-                              : *postings;
+      auto intersect = [&](storage::PostingList postings) {
+        current = initialized ? storage::IntersectPostings(current, postings)
+                              : std::move(postings);
         initialized = true;
         if (current.empty()) dead = true;
       };
-      if (options_.enable_element_index) {
-        for (const std::string& elem : site.required_elements) {
-          intersect(state.element_index.Lookup(elem));
-          if (dead) break;
-        }
+      for (const std::string& elem : site.required_elements) {
+        // Any level >= 1 admits every occurrence: name presence.
+        intersect(state.structural_index.LookupWithLevel(elem, 1, false));
+        if (dead) break;
       }
       if (!dead && options_.enable_structural_index) {
         // Level-constrained spine pruning: strictly stronger than the
         // name-presence check above for child-only prefixes (an `Item`
         // nested at the wrong depth no longer keeps its document alive).
         for (const SpineLevel& spine : site.spine_levels) {
-          storage::PostingList list = state.structural_index.LookupWithLevel(
-              spine.name, spine.min_level, spine.exact_level);
-          intersect(&list);
-          if (dead) break;
-        }
-      }
-      if (!dead && options_.enable_text_index &&
-          options_.text_index_accelerates_contains) {
-        for (const std::string& needle : site.contains_needles) {
-          std::optional<storage::PostingList> c =
-              state.text_index.CandidatesForContains(needle);
-          if (c) {
-            storage::PostingList list = std::move(*c);
-            intersect(&list);
-          }
-          if (dead) break;
-        }
-      }
-      if (!dead && options_.enable_value_index) {
-        for (const auto& [elem, value] : site.value_equals) {
-          if (value.size() > storage::ValueIndex::kMaxValueLength) continue;
-          intersect(state.value_index.Lookup(elem, value));
+          intersect(state.structural_index.LookupWithLevel(
+              spine.name, spine.min_level, spine.exact_level));
           if (dead) break;
         }
       }

@@ -30,34 +30,21 @@ namespace partix::xdb {
 struct DatabaseOptions {
   /// Parsed-document cache budget per collection (0 disables caching).
   size_t cache_capacity_bytes = size_t{64} << 20;
-  /// Structural index (element names), like eXist's automatic structural
-  /// index.
-  bool enable_element_index = true;
-  /// Full-text index, like eXist's automatic full-text index.
-  bool enable_text_index = true;
-  /// Use the full-text index to prune fn:contains() scans. OFF by default
-  /// for fidelity to the paper's substrate: eXist's fn:contains() is a
-  /// plain substring function, not index-assisted (only its proprietary
-  /// text operators used the index). Turning this on is the "modern
-  /// engine" ablation.
-  bool text_index_accelerates_contains = false;
-  /// Exact-value index on simple-content elements. OFF by default: the
-  /// paper configured no value indexes ("No other indexes were created").
-  bool enable_value_index = false;
-  /// Structural label index (XISS/R-style (pre, post, level) intervals,
-  /// see docs/structural-index.md): prunes candidate documents by
-  /// occurrence level and lets the evaluators answer descendant/child
-  /// steps as label-range scans instead of tree walks. Results are
-  /// byte-identical on or off; OFF is the navigational ablation measured
-  /// by bench/structural_join.
+  /// Structural label use (XISS/R-style (pre, post, level) intervals, see
+  /// docs/structural-index.md): prunes candidate documents by occurrence
+  /// level and lets the evaluators answer descendant/child steps as
+  /// label-range scans instead of tree walks. Results are byte-identical
+  /// on or off; OFF is the navigational ablation measured by
+  /// bench/structural_join. Name-presence pruning does not depend on it:
+  /// every collection keeps one structural index either way, like eXist's
+  /// automatic structural index. There are no text or value indexes —
+  /// fn:contains and equality predicates are scans, as in the paper's
+  /// substrate ("No other indexes were created").
   bool enable_structural_index = true;
   /// Prepared-plan LRU cache capacity in entries, keyed by query text and
   /// invalidated by collection DDL. 0 disables caching: every Prepare
   /// recompiles (the "cache off" ablation of bench/plan_cache_bench).
   size_t plan_cache_capacity = 128;
-  /// Additional byte bound on the plan cache (summed per-plan byte
-  /// estimates, see PlanCache::EstimatePlanBytes). 0 = entries-only.
-  size_t plan_cache_capacity_bytes = 0;
   /// One per-node byte budget shared by the parse caches, the plan
   /// cache, and (through the middleware) in-flight result buffers. 0
   /// (default) disables governance: caches enforce only their own
@@ -180,10 +167,10 @@ struct PrepareOutcome {
 /// distributed setting.
 ///
 /// Documents live in per-collection stores in serialized form, are parsed
-/// on demand through an LRU cache, and are indexed (structure, full text,
-/// exact values) at store time. Queries are XQuery (see xquery/parser.h
-/// for the subset); the planner prunes the documents each collection()
-/// call must touch using the indexes.
+/// on demand through an LRU cache, and are indexed by structure (element
+/// and attribute names with their levels) at store time. Queries are
+/// XQuery (see xquery/parser.h for the subset); the planner prunes the
+/// documents each collection() call must touch using that index.
 ///
 /// Thread-safety: the read path is concurrent, the write path exclusive.
 /// Execute/Prepare/ExecutePrepared and the read accessors are const and
@@ -336,9 +323,6 @@ class Database {
   struct CollectionState {
     CollectionMeta meta;
     std::unique_ptr<storage::DocumentStore> store;
-    storage::ElementIndex element_index;
-    storage::TextIndex text_index;
-    storage::ValueIndex value_index;
     storage::StructuralIndex structural_index;
     /// Guarded by stats_mu for RecordAccess (concurrent shared-lock
     /// queries fold their access deltas in); AddDocument runs under the

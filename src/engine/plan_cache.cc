@@ -51,10 +51,6 @@ size_t PlanCache::EstimatePlanBytes(const std::string& text,
       }
       bytes += site.step_strategies.size() *
                sizeof(site.step_strategies[0]);
-      for (const std::string& n : site.contains_needles) bytes += n.size();
-      for (const auto& [e, v] : site.value_equals) {
-        bytes += e.size() + v.size() + 2 * sizeof(std::string);
-      }
     }
   }
   return bytes;
@@ -97,9 +93,7 @@ size_t PlanCache::Insert(const std::string& text, PreparedQueryPtr plan) {
       index_.emplace(text, entries_.begin());
       total_bytes_ += bytes;
       PlanCacheBytesGauge()->Add(static_cast<double>(bytes));
-      while (entries_.size() > capacity_ ||
-             (capacity_bytes_ > 0 && total_bytes_ > capacity_bytes_ &&
-              entries_.size() > 1)) {
+      while (entries_.size() > capacity_) {
         EvictBack();
         ++evicted;
       }

@@ -48,9 +48,10 @@ struct PlanCacheStats {
   uint64_t invalidations = 0;
 };
 
-/// LRU cache of prepared plans keyed by exact query text, bounded both by
-/// entry count and by estimated bytes. Parse errors are never inserted, so
-/// a bad query fails identically on every submission.
+/// LRU cache of prepared plans keyed by exact query text, bounded by entry
+/// count (and, through an attached governor, by the node's shared byte
+/// budget). Parse errors are never inserted, so a bad query fails
+/// identically on every submission.
 ///
 /// Thread-safe: an internal mutex guards the LRU list, index, byte
 /// accounting, and stats, so concurrent Execute/Prepare calls on the
@@ -61,10 +62,8 @@ struct PlanCacheStats {
 class PlanCache {
  public:
   /// `capacity` in entries; 0 disables caching (Lookup always misses,
-  /// Insert is a no-op). `capacity_bytes` additionally bounds the summed
-  /// per-plan byte estimates; 0 = unbounded by bytes.
-  explicit PlanCache(size_t capacity, size_t capacity_bytes = 0)
-      : capacity_(capacity), capacity_bytes_(capacity_bytes) {}
+  /// Insert is a no-op).
+  explicit PlanCache(size_t capacity) : capacity_(capacity) {}
   ~PlanCache();
 
   PlanCache(const PlanCache&) = delete;
@@ -98,7 +97,6 @@ class PlanCache {
 
   size_t size() const;
   size_t capacity() const { return capacity_; }
-  size_t capacity_bytes() const { return capacity_bytes_; }
   /// Summed byte estimates of the cached plans.
   size_t total_bytes() const;
   /// Snapshot of the counters (copied under the lock).
@@ -124,7 +122,6 @@ class PlanCache {
   void EvictBack();
 
   size_t capacity_;
-  size_t capacity_bytes_;
   size_t total_bytes_ = 0;
   memory::MemoryGovernor* governor_ = nullptr;
   int governor_id_ = -1;

@@ -16,7 +16,6 @@ using xquery::FlworExpr;
 using xquery::ForLetClause;
 using xquery::FunctionCall;
 using xquery::IfExpr;
-using xquery::NumberLit;
 using xquery::PathExpr;
 using xquery::StringLit;
 using xquery::UnaryMinus;
@@ -31,20 +30,6 @@ std::optional<std::string> AsCollectionCall(const Expr& e) {
   return f.args[0]->As<StringLit>().value;
 }
 
-/// Returns the literal string value when `e` is a string or number literal.
-std::optional<std::string> AsLiteralString(const Expr& e) {
-  if (e.Is<StringLit>()) return e.As<StringLit>().value;
-  if (e.Is<NumberLit>()) {
-    // Compare numbers through their canonical text form; the value index
-    // stores raw document text, so only integers round-trip reliably.
-    double v = e.As<NumberLit>().value;
-    if (v == static_cast<int64_t>(v)) {
-      return std::to_string(static_cast<int64_t>(v));
-    }
-  }
-  return std::nullopt;
-}
-
 class Analyzer {
  public:
   std::map<std::string, CollectionPlan> Run(const Expr& root) {
@@ -53,19 +38,13 @@ class Analyzer {
   }
 
  private:
-  /// A relative path (rooted at the context item or a tracked variable):
-  /// the names along its spine and its last step's name, when usable.
-  struct RelPathInfo {
-    std::vector<std::string> spine;
-    std::string last_name;  // empty when wildcard/attribute-less
-    bool last_is_simple = false;
-  };
-
-  /// Extracts spine info from `e` when it is a path over the context item
-  /// or over a variable bound to `site_var_` (predicate/where usage).
-  std::optional<RelPathInfo> RelativePath(const Expr& e,
-                                          const std::string* var) {
-    if (!e.Is<PathExpr>()) return std::nullopt;
+  /// Adds the names along the spine of `e` to the site's required
+  /// elements when `e` is a path over the context item or over `var`, the
+  /// FLWOR variable bound to the site (predicate/where usage); any other
+  /// expression adds nothing.
+  void RequireSpine(const Expr& e, SiteConstraints* site,
+                    const std::string* var) {
+    if (!e.Is<PathExpr>()) return;
     const auto& p = e.As<PathExpr>();
     if (p.source == nullptr) {
       // Absolute path inside a predicate: applies to the context document;
@@ -76,18 +55,12 @@ class Analyzer {
                p.source->As<VarRef>().name == *var) {
       // Path over the tracked FLWOR variable.
     } else {
-      return std::nullopt;
+      return;
     }
-    RelPathInfo info;
     for (const AxisStep& s : p.steps) {
-      if (!s.step.wildcard) info.spine.push_back(s.step.name);
+      if (!s.step.wildcard) site->required_elements.push_back(s.step.name);
       // Nested step predicates inside predicate paths are not mined.
     }
-    if (!p.steps.empty() && !p.steps.back().step.wildcard) {
-      info.last_name = p.steps.back().step.name;
-      info.last_is_simple = true;
-    }
-    return info;
   }
 
   /// Mines one conjunct of a predicate/where expression for constraints on
@@ -102,75 +75,32 @@ class Analyzer {
         MineConjunct(*b.rhs, site, var);
         return;
       }
-      // Comparison: path op literal (either side).
+      // Comparison with a path on either side: the path must exist.
       const bool is_cmp =
           b.op == BinaryOp::Op::kEq || b.op == BinaryOp::Op::kNe ||
           b.op == BinaryOp::Op::kLt || b.op == BinaryOp::Op::kLe ||
           b.op == BinaryOp::Op::kGt || b.op == BinaryOp::Op::kGe;
       if (!is_cmp) return;
-      const Expr* path_side = nullptr;
-      const Expr* lit_side = nullptr;
       if (b.lhs->Is<PathExpr>()) {
-        path_side = b.lhs.get();
-        lit_side = b.rhs.get();
+        RequireSpine(*b.lhs, site, var);
       } else if (b.rhs->Is<PathExpr>()) {
-        path_side = b.rhs.get();
-        lit_side = b.lhs.get();
-      } else {
-        return;
-      }
-      std::optional<RelPathInfo> info = RelativePath(*path_side, var);
-      if (!info) return;
-      for (const std::string& name : info->spine) {
-        site->required_elements.push_back(name);
-      }
-      if (b.op == BinaryOp::Op::kEq && info->last_is_simple) {
-        std::optional<std::string> lit = AsLiteralString(*lit_side);
-        if (lit) site->value_equals.emplace_back(info->last_name, *lit);
+        RequireSpine(*b.rhs, site, var);
       }
       return;
     }
     if (e.Is<FunctionCall>()) {
       const auto& f = e.As<FunctionCall>();
-      if ((f.name == "contains" || f.name == "starts-with") &&
-          f.args.size() == 2) {
-        std::optional<RelPathInfo> info = RelativePath(*f.args[0], var);
-        std::optional<std::string> lit;
-        if (f.args[1]->Is<StringLit>()) {
-          lit = f.args[1]->As<StringLit>().value;
-        }
-        if (info) {
-          for (const std::string& name : info->spine) {
-            site->required_elements.push_back(name);
-          }
-          if (f.name == "contains" && lit) {
-            site->contains_needles.push_back(*lit);
-          }
-        }
-        return;
-      }
-      if (f.name == "exists" && f.args.size() == 1) {
-        std::optional<RelPathInfo> info = RelativePath(*f.args[0], var);
-        if (info) {
-          for (const std::string& name : info->spine) {
-            site->required_elements.push_back(name);
-          }
-        }
-        return;
+      if (((f.name == "contains" || f.name == "starts-with") &&
+           f.args.size() == 2) ||
+          (f.name == "exists" && f.args.size() == 1)) {
+        RequireSpine(*f.args[0], site, var);
       }
       // not(), empty(), boolean() and friends: no sound positive
       // constraint.
       return;
     }
-    if (e.Is<PathExpr>()) {
-      // Bare existential path.
-      std::optional<RelPathInfo> info = RelativePath(e, var);
-      if (info) {
-        for (const std::string& name : info->spine) {
-          site->required_elements.push_back(name);
-        }
-      }
-    }
+    // Bare existential path.
+    RequireSpine(e, site, var);
   }
 
   /// Registers a collection call site rooted at `collection(...)` with the

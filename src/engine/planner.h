@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "xpath/path.h"
@@ -38,24 +37,16 @@ struct SiteConstraints {
   /// predicates (checked against the structural index).
   std::vector<std::string> required_elements;
 
-  /// Spine names with level bounds (checked against the structural label
-  /// index when enabled; a strictly stronger version of the spine subset
-  /// of `required_elements`).
+  /// Spine names with level bounds (checked against the same index's level
+  /// summaries when DatabaseOptions::enable_structural_index is on; a
+  /// strictly stronger version of the spine subset of
+  /// `required_elements`).
   std::vector<SpineLevel> spine_levels;
 
   /// The planner's static evaluation strategy for each trailing step of
   /// the site's path, in step order (see xpath::StaticStepStrategy);
   /// kDynamic entries are resolved per document at evaluation time.
   std::vector<xpath::StepStrategy> step_strategies;
-
-  /// Literal needles of conjunctive contains() predicates (checked against
-  /// the full-text index).
-  std::vector<std::string> contains_needles;
-
-  /// (element name, literal value) pairs from conjunctive equality
-  /// predicates on simple-content elements (checked against the value
-  /// index).
-  std::vector<std::pair<std::string, std::string>> value_equals;
 
   /// True when this call site gives no exploitable constraint; the whole
   /// collection must be considered.
@@ -71,7 +62,9 @@ struct CollectionPlan {
 /// Walks the query AST and extracts index-usable constraints for every
 /// collection() / doc() call site. Handles:
 ///   - path spines: collection("c")/Item/Name requires elements Item, Name
-///   - step predicates: Item[Section = "CD"], Item[contains(Desc, "x")]
+///   - step predicates: Item[Section = "CD"] and Item[contains(Desc, "x")]
+///     require Section / Desc (the comparison and fn:contains themselves
+///     are evaluated by scanning, as in the paper's substrate)
 ///   - FLWOR where clauses: conjuncts over variables bound by for-clauses
 ///     whose binding expression is rooted at a collection() call
 /// Constraints under not()/empty()/or are ignored (kept sound by not

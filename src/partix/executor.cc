@@ -405,6 +405,7 @@ void Executor::RunOne(const SubQuery& sub, size_t index,
         attempt_budget_ms > 0.0 ? attempt_budget_ms : -1.0;
 
     Stopwatch attempt_watch(clock_);
+    bool prepare_failed = false;
     bool stream_opened = false;
     Result<xdb::QueryResult> result = [&]() -> Result<xdb::QueryResult> {
       auto it = prepared_by_node.find(node);
@@ -430,7 +431,10 @@ void Executor::RunOne(const SubQuery& sub, size_t index,
         }
         // A failed prepare (e.g. the node went down after candidate
         // selection) flows through the normal retry/failover handling.
-        if (!prep.ok()) return prep.status();
+        if (!prep.ok()) {
+          prepare_failed = true;
+          return prep.status();
+        }
         ++out->prepares;
         if ((*prep)->cache_hit()) {
           ++out->plan_cache_hits;
@@ -503,11 +507,14 @@ void Executor::RunOne(const SubQuery& sub, size_t index,
     // track it whether or not the result survives, so node-side request
     // counters and outcome accounting conserve. The fault gate's
     // rejections (transient, down, circuit-open prepares) are retryable
-    // kUnavailable and never touched the engine.
+    // kUnavailable and never touched the engine; a prepare never passes
+    // the gate at all, so a failed one is never an engine request,
+    // whatever its status.
     // Streaming: an attempt whose stream *opened* reached the engine,
     // even if the stream later died mid-flight with a retryable error.
     const bool engine_served =
-        result.ok() || stream_opened || !Retryable(result.status());
+        !prepare_failed &&
+        (result.ok() || stream_opened || !Retryable(result.status()));
     if (engine_served) ++out->engine_requests;
 
     // End-to-end integrity: recompute the digest the node stamped before

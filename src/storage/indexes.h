@@ -1,7 +1,6 @@
 #ifndef PARTIX_STORAGE_INDEXES_H_
 #define PARTIX_STORAGE_INDEXES_H_
 
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -21,81 +20,16 @@ PostingList IntersectPostings(const PostingList& a, const PostingList& b);
 /// Unions two sorted posting lists.
 PostingList UnionPostings(const PostingList& a, const PostingList& b);
 
-/// Structural index: element/attribute name -> documents containing it.
-/// The engine uses it to skip documents that cannot match a path's spine,
-/// mirroring eXist's automatic structural index.
-class ElementIndex {
- public:
-  /// Indexes every element and attribute name of `doc`.
-  void AddDocument(DocSlot slot, const xml::Document& doc);
-
-  /// Documents containing the name, or null if the name was never seen
-  /// (equivalently: an empty posting list).
-  const PostingList* Lookup(std::string_view name) const;
-
-  size_t distinct_names() const { return postings_.size(); }
-
- private:
-  std::unordered_map<std::string, PostingList> postings_;
-};
-
-/// Full-text index: lowercase word token -> documents containing it in any
-/// text or attribute value. Used to prune contains() scans, mirroring
-/// eXist's automatic full-text index.
-class TextIndex {
- public:
-  void AddDocument(DocSlot slot, const xml::Document& doc);
-
-  const PostingList* Lookup(std::string_view token) const;
-
-  /// Candidate documents for contains(_, needle): the intersection of the
-  /// postings of every word token of the needle. A needle with no word
-  /// tokens yields nullopt (no pruning possible). Note this is a superset
-  /// of the true matches (token match does not imply substring match);
-  /// callers must still verify.
-  std::optional<PostingList> CandidatesForContains(
-      std::string_view needle) const;
-
-  size_t distinct_tokens() const { return postings_.size(); }
-
- private:
-  std::unordered_map<std::string, PostingList> postings_;
-};
-
-/// Value index: (element name, exact string value) -> documents. Indexes
-/// simple-content elements and attributes whose value is at most
-/// kMaxValueLength bytes. Used for `P = "literal"` predicates.
-class ValueIndex {
- public:
-  static constexpr size_t kMaxValueLength = 64;
-
-  void AddDocument(DocSlot slot, const xml::Document& doc);
-
-  /// Documents where element `name` has exact simple-content `value`.
-  /// Returns nullptr when nothing was indexed under that key — which also
-  /// happens for over-long values, so a null result from an *indexable*
-  /// key means "no documents", while callers should not consult the index
-  /// at all for values longer than kMaxValueLength.
-  const PostingList* Lookup(std::string_view name,
-                            std::string_view value) const;
-
-  size_t distinct_keys() const { return postings_.size(); }
-
- private:
-  static std::string Key(std::string_view name, std::string_view value);
-
-  std::unordered_map<std::string, PostingList> postings_;
-};
-
-/// Structural label index: element/attribute name -> per-document level
-/// summaries of the name's occurrences. Built from the same (pre, post,
-/// level) labels the documents carry (see xml::NodeLabel); where the
-/// ElementIndex answers "does the name occur", this index answers "does it
-/// occur at a depth the path could reach", which prunes documents whose
-/// matching names sit at the wrong level — e.g. a child-only spine
+/// Structural label index, the one document index of a collection:
+/// element/attribute name -> per-document level summaries of the name's
+/// occurrences. Built from the same (pre, post, level) labels the
+/// documents carry (see xml::NodeLabel). It answers both "does the name
+/// occur" (level >= 1, mirroring eXist's automatic structural index) and
+/// "does it occur at a depth the path could reach", which prunes documents
+/// whose matching names sit at the wrong level — e.g. a child-only spine
 /// /Store/Items/Item can skip documents whose only `Item` elements are
-/// nested deeper. Like the other indexes: single-writer during loading,
-/// immutable and freely shared afterwards.
+/// nested deeper. Single-writer during loading, immutable and freely
+/// shared afterwards.
 class StructuralIndex {
  public:
   /// Level summary of one name's occurrences within one document.

@@ -10,8 +10,8 @@
 //   - MemoryGovernor: charge/release/headroom, priority-ordered
 //     eviction, pinned consumers and the overcommit counter, budget
 //     shrink pressure, callback re-entrancy
-//   - governed consumers: DocumentStore parse-cache shedding, PlanCache
-//     byte bound, Database end-to-end under a tiny budget
+//   - governed consumers: DocumentStore parse-cache shedding, Database
+//     end-to-end under a tiny budget
 
 #include <atomic>
 #include <memory>
@@ -346,28 +346,6 @@ TEST(GovernedStoreTest, ExternalPressureShedsTheParseCache) {
   // Conservation: the governor now sees only the pinned charge.
   EXPECT_EQ(governor.charged_bytes(), governor.budget_bytes());
   store.AttachGovernor(nullptr);
-}
-
-// --- PlanCache byte bound -------------------------------------------------
-
-TEST(PlanCacheBytesTest, ByteCapacityBoundsTheCache) {
-  xdb::DatabaseOptions options;
-  options.plan_cache_capacity = 128;
-  options.plan_cache_capacity_bytes = 4096;  // a handful of plans
-  xdb::Database db(options);
-  ASSERT_TRUE(db.CreateCollection("items").ok());
-  ASSERT_TRUE(db.StoreSerialized("items", "d0", SmallDoc(0)).ok());
-  for (int i = 0; i < 32; ++i) {
-    // Distinct texts -> distinct cache entries.
-    auto result = db.Execute(
-        "count(collection(\"items\")/Item[Code = \"" + std::to_string(i) +
-        "\"])");
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_LE(db.plan_cache_bytes(), options.plan_cache_capacity_bytes);
-    EXPECT_EQ(result->metrics.plan_cache_bytes, db.plan_cache_bytes());
-  }
-  EXPECT_GT(db.plan_cache_stats().evictions, 0u);
-  EXPECT_GT(db.plan_cache_size(), 0u);
 }
 
 // --- Database end-to-end under a budget -----------------------------------

@@ -123,6 +123,9 @@ TEST_F(PlanCacheDbTest, ExecuteReportsCacheAccounting) {
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(cold->metrics.plan_cache_misses, 1u);
   EXPECT_EQ(cold->metrics.plan_cache_hits, 0u);
+  // The per-call byte figure is the cache's residency after the call.
+  EXPECT_GT(cold->metrics.plan_cache_bytes, 0u);
+  EXPECT_EQ(cold->metrics.plan_cache_bytes, db_.plan_cache_bytes());
 
   auto warm = db_.Execute(kCountQuery);
   ASSERT_TRUE(warm.ok());
@@ -288,6 +291,35 @@ TEST(ExecutorPrepareReuseTest, RetriesReusePreparedHandle) {
   EXPECT_EQ(outcomes[0].plan_cache_misses, 1u);
   EXPECT_EQ(outcomes[0].plan_cache_hits, 0u);
   EXPECT_EQ(outcomes[0].result->serialized, "1");
+}
+
+TEST(ExecutorPrepareReuseTest, FailedPrepareIsNotAnEngineRequest) {
+  middleware::ClusterSim cluster(1, xdb::DatabaseOptions(),
+                                 middleware::NetworkModel());
+  ASSERT_TRUE(cluster.database(0).CreateCollection("items").ok());
+
+  // No compiled form: the node's Prepare rejects it with a non-retryable
+  // status before any engine request (prepares never pass the fault
+  // gate), so the executor must not count one either.
+  middleware::SubQuery sub;
+  sub.fragment = "items";
+  sub.node = 0;
+  sub.query = kCountQuery;
+
+  middleware::DispatchOptions options;
+  options.retry.max_attempts = 3;
+  options.retry.base_backoff_ms = 0.0;
+  std::vector<middleware::SubQueryOutcome> outcomes;
+  cluster.executor().Dispatch({sub}, options, &outcomes);
+
+  ASSERT_EQ(outcomes.size(), 1u);
+  ASSERT_FALSE(outcomes[0].result.ok());
+  EXPECT_EQ(outcomes[0].result.status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(outcomes[0].attempts, 1u);
+  EXPECT_EQ(outcomes[0].prepares, 0u);
+  EXPECT_EQ(outcomes[0].engine_requests, 0u);
+  EXPECT_EQ(cluster.NodeRequestCount(0), 0u);
 }
 
 // --- plan validation: compiled forms are required ------------------------
