@@ -93,6 +93,23 @@ TEST_P(NamePresencePruningTest, PrunesStructuralQuery) {
   EXPECT_EQ(last_metrics_.docs_considered, 0u);
 }
 
+TEST_P(NamePresencePruningTest, SkipsDocumentsLackingAPredicateName) {
+  Store("<Item><Code>4</Code><Name>bare</Name></Item>");
+  // Only documents holding every mined name stay candidates; the scan
+  // itself still decides which of them match.
+  EXPECT_EQ(Run("count(collection(\"items\")/Item[Section = \"CD\"])"),
+            "2");
+  EXPECT_EQ(last_metrics_.docs_in_collections, 4u);
+  EXPECT_EQ(last_metrics_.docs_considered, 3u);
+  EXPECT_EQ(Run("for $i in collection(\"items\")/Item "
+                "where contains($i/Description, \"good\") "
+                "return $i/Code"),
+            "<Code>1</Code>\n<Code>3</Code>");
+  EXPECT_EQ(last_metrics_.docs_considered, 3u);
+  EXPECT_EQ(Run("count(collection(\"items\")/Item[Name])"), "4");
+  EXPECT_EQ(last_metrics_.docs_considered, 4u);
+}
+
 INSTANTIATE_TEST_SUITE_P(StructuralLabels, NamePresencePruningTest,
                          ::testing::Bool());
 
@@ -208,6 +225,37 @@ TEST(PlannerTest, OrPredicatesYieldNoConstraints) {
   // Neither A nor B is required: either disjunct may hold alone.
   EXPECT_EQ(site.required_elements,
             (std::vector<std::string>{"Item"}));
+}
+
+TEST(PlannerTest, NegatedPredicatesYieldNoConstraints) {
+  auto plans = Plan(
+      "for $i in collection(\"c\")/Item[not(contains(Description, \"x\"))] "
+      "where empty($i/Code) return $i");
+  const SiteConstraints& site = plans["c"].sites[0];
+  // A document lacking Description or Code may still match.
+  EXPECT_EQ(site.required_elements,
+            (std::vector<std::string>{"Item"}));
+}
+
+TEST(PlannerTest, StartsWithAndExistsRequireTheirPath) {
+  auto plans = Plan(
+      "collection(\"c\")/Item[starts-with(Name, \"cd\") and "
+      "exists(Release)]");
+  const SiteConstraints& site = plans["c"].sites[0];
+  EXPECT_EQ(site.required_elements,
+            (std::vector<std::string>{"Item", "Name", "Release"}));
+}
+
+TEST(PlannerTest, EachBoundVariableMinesOnlyItsOwnSite) {
+  auto plans = Plan(
+      "for $a in collection(\"a\")/X, $b in collection(\"b\")/Y "
+      "where $a/P = 1 and $b/Q = 2 return $a");
+  ASSERT_EQ(plans["a"].sites.size(), 1u);
+  ASSERT_EQ(plans["b"].sites.size(), 1u);
+  EXPECT_EQ(plans["a"].sites[0].required_elements,
+            (std::vector<std::string>{"X", "P"}));
+  EXPECT_EQ(plans["b"].sites[0].required_elements,
+            (std::vector<std::string>{"Y", "Q"}));
 }
 
 TEST(PlannerTest, MultipleSitesUnion) {

@@ -200,6 +200,27 @@ TEST_F(TinyPlanCacheDbTest, CapacityEvictsLeastRecentlyUsed) {
   EXPECT_FALSE(db_.Prepare(q2)->cache_hit);
 }
 
+TEST_F(TinyPlanCacheDbTest, ByteAccountingFollowsEvictionAndInvalidation) {
+  const std::string q1 = "count(collection(\"items\")/Item)";
+  const std::string q2 = "collection(\"items\")/Item/Code";
+  const std::string q3 = "collection(\"items\")/Item[Section = \"CD\"]";
+  auto p1 = db_.Prepare(q1);
+  auto p2 = db_.Prepare(q2);
+  ASSERT_TRUE(p1.ok() && p2.ok());
+  const size_t b1 = xdb::PlanCache::EstimatePlanBytes(q1, *p1->plan);
+  const size_t b2 = xdb::PlanCache::EstimatePlanBytes(q2, *p2->plan);
+  EXPECT_EQ(db_.plan_cache_bytes(), b1 + b2);
+
+  auto p3 = db_.Prepare(q3);  // evicts q1, the least recently used
+  ASSERT_TRUE(p3.ok());
+  const size_t b3 = xdb::PlanCache::EstimatePlanBytes(q3, *p3->plan);
+  EXPECT_EQ(db_.plan_cache_bytes(), b2 + b3);
+
+  ASSERT_TRUE(db_.CreateCollection("other").ok());  // DDL clears the cache
+  EXPECT_EQ(db_.plan_cache_size(), 0u);
+  EXPECT_EQ(db_.plan_cache_bytes(), 0u);
+}
+
 class DisabledPlanCacheDbTest : public PlanCacheDbTest {
  protected:
   DisabledPlanCacheDbTest() : PlanCacheDbTest(0) {}

@@ -136,6 +136,57 @@ TEST(StructuralIndexTest, IndexesAttributes) {
   EXPECT_EQ(index.LookupWithLevel("id", 1, false), (PostingList{0}));
 }
 
+TEST(StructuralIndexTest, OnePostingPerDocumentWithLevelEnvelope) {
+  auto pool = Pool();
+  StructuralIndex index;
+  // `a` occurs three times, at levels 2, 4 and 2.
+  index.AddDocument(5, *Parse(pool, "a",
+                              "<r><a/><x><y><a/></y></x><a/></r>"));
+  const auto* a = index.Lookup("a");
+  ASSERT_NE(a, nullptr);
+  ASSERT_EQ(a->size(), 1u);
+  EXPECT_EQ((*a)[0].slot, 5u);
+  EXPECT_EQ((*a)[0].min_level, 2u);
+  EXPECT_EQ((*a)[0].max_level, 4u);
+  EXPECT_EQ((*a)[0].count, 3u);
+  const auto* r = index.Lookup("r");
+  ASSERT_NE(r, nullptr);
+  ASSERT_EQ(r->size(), 1u);
+  EXPECT_EQ((*r)[0].min_level, 1u);
+  EXPECT_EQ((*r)[0].max_level, 1u);
+  // Text nodes are not indexed: only r, a, x, y.
+  EXPECT_EQ(index.distinct_names(), 4u);
+}
+
+TEST(StructuralIndexTest, UnsealedDocumentsIndexLikeSealedOnes) {
+  auto pool = Pool();
+  const std::string text =
+      "<Store id=\"s\"><Items><Item><Code>1</Code></Item>"
+      "<Item><Code>2</Code><Sub><Code>3</Code></Sub></Item></Items></Store>";
+  auto sealed = Parse(pool, "a", text);
+  ASSERT_TRUE(sealed->has_labels());
+  xml::Document copy(pool, "a");
+  copy.CopySubtree(*sealed, sealed->root(), xml::kNullNode);
+  ASSERT_FALSE(copy.has_labels());
+
+  StructuralIndex from_labels;
+  StructuralIndex from_walk;
+  from_labels.AddDocument(0, *sealed);
+  from_walk.AddDocument(0, copy);
+  ASSERT_EQ(from_walk.distinct_names(), from_labels.distinct_names());
+  for (const char* name : {"Store", "id", "Items", "Item", "Code", "Sub"}) {
+    const auto* want = from_labels.Lookup(name);
+    const auto* got = from_walk.Lookup(name);
+    ASSERT_NE(want, nullptr) << name;
+    ASSERT_NE(got, nullptr) << name;
+    ASSERT_EQ(got->size(), 1u) << name;
+    ASSERT_EQ(want->size(), 1u) << name;
+    EXPECT_EQ((*got)[0].min_level, (*want)[0].min_level) << name;
+    EXPECT_EQ((*got)[0].max_level, (*want)[0].max_level) << name;
+    EXPECT_EQ((*got)[0].count, (*want)[0].count) << name;
+  }
+}
+
 TEST(CollectionStatsTest, Accumulates) {
   auto pool = Pool();
   CollectionStats stats;

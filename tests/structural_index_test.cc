@@ -590,6 +590,41 @@ TEST(StructuralTelemetryTest, ProbeAndHitCountersAdvance) {
   EXPECT_GT(hits->Value(), hits_before);
 }
 
+TEST(StructuralTelemetryTest, NamePresenceLookupsCountWithLabelsOff) {
+  telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::Global();
+  registry.set_enabled(true);
+  auto* probes =
+      registry.GetCounter("partix_structural_index_probes_total");
+  auto* hits = registry.GetCounter("partix_structural_index_hits_total");
+
+  xdb::DatabaseOptions options;
+  options.enable_structural_index = false;
+  xdb::Database db(options);
+  ASSERT_TRUE(db.CreateCollection("c").ok());
+  ASSERT_TRUE(
+      db.StoreSerialized("c", "d", "<Item><Name>x</Name></Item>").ok());
+
+  // Without label scans the only probes are the planner's name-presence
+  // lookups: one per required name, a hit when the name occurs.
+  uint64_t probes_before = probes->Value();
+  uint64_t hits_before = hits->Value();
+  auto found = db.Execute("collection(\"c\")/Item/Name");
+  ASSERT_TRUE(found.ok());
+  EXPECT_EQ(found->serialized, "<Name>x</Name>");
+  EXPECT_EQ(found->metrics.index_range_scans, 0u);
+  EXPECT_EQ(probes->Value() - probes_before, 2u);
+  EXPECT_EQ(hits->Value() - hits_before, 2u);
+
+  probes_before = probes->Value();
+  hits_before = hits->Value();
+  auto missing = db.Execute("collection(\"c\")/Item/Bogus");
+  ASSERT_TRUE(missing.ok());
+  EXPECT_EQ(missing->serialized, "");
+  EXPECT_EQ(missing->metrics.docs_considered, 0u);
+  EXPECT_EQ(probes->Value() - probes_before, 2u);
+  EXPECT_EQ(hits->Value() - hits_before, 1u);
+}
+
 // --- concurrency: parallel probes (TSan coverage) ------------------------
 
 // The StructuralIndex contract is single-writer during loading, immutable
