@@ -438,14 +438,14 @@ Result<QueryResult> Database::Execute(const std::string& query,
                                       const ExecParams& exec) const {
   Stopwatch watch;
   // Prepare touches only the internally-locked plan cache, so it runs
-  // outside mu_; the shared lock is taken once for the execution body
+  // outside mu_; the cursor takes the shared lock once for the execution
   // (no recursive shared acquisition — a writer waiting between two
-  // shared locks on one thread would deadlock).
+  // shared locks on one thread would deadlock) and releases it when it
+  // is destroyed on return.
   PARTIX_ASSIGN_OR_RETURN(PrepareOutcome prepared, Prepare(query));
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  PARTIX_ASSIGN_OR_RETURN(QueryResult out,
-                          ExecutePreparedLocked(*prepared.plan, exec));
-  lock.unlock();
+  PARTIX_ASSIGN_OR_RETURN(ResultCursorPtr cursor,
+                          ExecutePreparedStream(*prepared.plan, exec));
+  PARTIX_ASSIGN_OR_RETURN(QueryResult out, DrainCursor(*cursor));
   out.metrics.compile_ms = prepared.compile_ms;
   out.metrics.plan_cache_hits = prepared.cache_hit ? 1 : 0;
   out.metrics.plan_cache_misses = prepared.cache_hit ? 0 : 1;
@@ -454,12 +454,6 @@ Result<QueryResult> Database::Execute(const std::string& query,
   // hit the compile component is simply gone.
   out.metrics.elapsed_ms = watch.ElapsedMillis();
   return out;
-}
-
-Result<QueryResult> Database::ExecutePrepared(const PreparedQuery& prepared,
-                                              const ExecParams& exec) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return ExecutePreparedLocked(prepared, exec);
 }
 
 void Database::PlanCandidates(
@@ -577,48 +571,8 @@ void Database::FoldExecutionStats(
   }
 }
 
-Result<QueryResult> Database::ExecutePreparedLocked(
-    const PreparedQuery& prepared, const ExecParams& exec) const {
-  if (prepared.compiled == nullptr) {
-    return Status::InvalidArgument("ExecutePrepared: plan has no query");
-  }
-  Stopwatch watch;
-  const std::map<std::string, CollectionPlan>& plans = prepared.plans;
-
-  std::map<std::string, std::vector<storage::DocSlot>> candidates;
-  std::map<std::string, storage::DocumentStore*> stores;
-  QueryMetrics metrics;
-  PlanCandidates(plans, &candidates, &stores, &metrics);
-
-  // Evaluate.
-  PlannedResolver resolver(std::move(candidates), std::move(stores));
-  xquery::Evaluator evaluator(&resolver, pool_);
-  evaluator.set_use_structural_index(options_.enable_structural_index);
-  if (exec.morsel_parallelism > 1 && exec.morsel_pool != nullptr) {
-    evaluator.set_morsel_parallelism(exec.morsel_parallelism,
-                                     exec.morsel_pool);
-  }
-  Result<xquery::Sequence> result = evaluator.Eval(prepared.compiled->ast());
-  if (!result.ok()) return result.status();
-
-  FoldExecutionStats(
-      plans,
-      [&resolver](const std::string& name) { return resolver.DeltaFor(name); },
-      evaluator.stats(), &metrics);
-
-  QueryResult out;
-  out.items = std::move(*result);
-  out.serialized = xquery::SerializeSequence(out.items);
-  metrics.result_items = out.items.size();
-  metrics.result_bytes = out.serialized.size();
-  metrics.plan_cache_bytes = plan_cache_.total_bytes();
-  metrics.elapsed_ms = watch.ElapsedMillis();
-  out.metrics = metrics;
-  return out;
-}
-
 // ---------------------------------------------------------------------------
-// Streaming execution: ResultCursor
+// Execution: ResultCursor (the only evaluation path of a prepared plan)
 // ---------------------------------------------------------------------------
 
 /// Everything one open stream owns, in destruction order: the evaluator
@@ -657,8 +611,8 @@ Result<bool> ResultCursor::Next(ResultBlock* block) {
   block->digest = 0;
   if (st.done) return false;
   Stopwatch watch;
-  // Elapsed accumulates over open + every Next, so the drained cursor's
-  // metrics mirror the materialized elapsed (engine time actually spent).
+  // Elapsed accumulates over open + every Next: the drained cursor's
+  // metrics carry the engine time actually spent.
   Status status = Status::Ok();
   while (block->items.size() < st.block_items) {
     if (st.pending_pos >= st.pending.size()) {
@@ -685,7 +639,7 @@ Result<bool> ResultCursor::Next(ResultBlock* block) {
   }
   if (block->items.empty()) {
     // Clean end of stream: fold the per-query attribution under the
-    // still-held shared lock (the same fold the materialized path does).
+    // still-held shared lock.
     st.done = true;
     st.db->FoldExecutionStats(
         st.plan->plans,
@@ -704,7 +658,8 @@ Result<bool> ResultCursor::Next(ResultBlock* block) {
 Result<ResultCursorPtr> Database::ExecutePreparedStream(
     const PreparedQuery& prepared, const ExecParams& exec) const {
   if (prepared.compiled == nullptr) {
-    return Status::InvalidArgument("ExecutePrepared: plan has no query");
+    return Status::InvalidArgument(
+        "ExecutePreparedStream: plan has no query");
   }
   auto st = std::make_unique<ResultCursor::State>();
   st->db = this;

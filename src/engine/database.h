@@ -3,11 +3,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -78,8 +80,8 @@ struct ExecParams {
   /// admission-controls — never a private one (no second pool, no
   /// oversubscription).
   ThreadPool* morsel_pool = nullptr;
-  /// Target items per ResultBlock on the streaming path
-  /// (ExecutePreparedStream). 0 = the default (256).
+  /// Target items per ResultBlock (ExecutePreparedStream). 0 = the
+  /// default (256). Answers are byte-identical at any block size.
   size_t stream_block_items = 0;
 };
 
@@ -112,17 +114,12 @@ struct QueryMetrics {
 };
 
 /// A query answer: the result sequence, its serialized form, and metrics.
+/// Below the coordinator a materialized answer is always a drained block
+/// cursor (see DrainCursor); integrity digests travel on the blocks.
 struct QueryResult {
   xquery::Sequence items;
   std::string serialized;
   QueryMetrics metrics;
-  /// End-to-end integrity: FNV-1a of `serialized`, computed where the
-  /// result was produced (the driver stamps it before the response
-  /// crosses the simulated wire). 0 = no digest attached; the executor
-  /// verifies non-zero digests when integrity checking is enabled and
-  /// treats a mismatch as a retryable corrupt response. See
-  /// docs/fault-tolerance.md.
-  uint64_t response_digest = 0;
 };
 
 /// One batch of a streamed query result. Blocks carry both forms the
@@ -134,11 +131,46 @@ struct QueryResult {
 struct ResultBlock {
   xquery::Sequence items;
   std::string serialized;
-  /// FNV-1a of `serialized`, stamped by the driver before the block
-  /// crosses the simulated wire (0 = no digest). The executor verifies
-  /// per block exactly like QueryResult::response_digest.
+  /// End-to-end integrity: FNV-1a of `serialized`, stamped by the driver
+  /// before the block crosses the simulated wire (0 = no digest). The
+  /// executor verifies non-zero digests when integrity checking is
+  /// enabled and treats a mismatch as a retryable corrupt response. See
+  /// docs/fault-tolerance.md.
   uint64_t digest = 0;
 };
+
+/// Appends one block to a materialized answer: its items and serialized
+/// bytes go to the end of `out` (block serializations concatenate to the
+/// whole answer's). Metrics are the cursor's business, not the block's.
+inline void AppendBlock(ResultBlock&& block, QueryResult* out) {
+  if (out->items.empty()) {
+    out->items = std::move(block.items);
+  } else {
+    out->items.insert(out->items.end(),
+                      std::make_move_iterator(block.items.begin()),
+                      std::make_move_iterator(block.items.end()));
+  }
+  out->serialized += block.serialized;
+}
+
+/// Pulls a block cursor to its end and concatenates its blocks into one
+/// QueryResult carrying the cursor's final metrics. `Cursor` is any type
+/// with `Result<bool> Next(ResultBlock*)` and `metrics()` — the engine's
+/// ResultCursor or the middleware's SubQueryStream. This is how every
+/// materialized answer below the coordinator is produced: the engine has
+/// no evaluation path beside the cursor.
+template <typename Cursor>
+Result<QueryResult> DrainCursor(Cursor& cursor) {
+  QueryResult out;
+  for (;;) {
+    ResultBlock block;
+    PARTIX_ASSIGN_OR_RETURN(bool more, cursor.Next(&block));
+    if (!more) break;
+    AppendBlock(std::move(block), &out);
+  }
+  out.metrics = cursor.metrics();
+  return out;
+}
 
 class ResultCursor;
 using ResultCursorPtr = std::unique_ptr<ResultCursor>;
@@ -173,7 +205,7 @@ struct PrepareOutcome {
 /// documents each collection() call must touch using that index.
 ///
 /// Thread-safety: the read path is concurrent, the write path exclusive.
-/// Execute/Prepare/ExecutePrepared and the read accessors are const and
+/// Execute/Prepare/ExecutePreparedStream and the read accessors are const and
 /// may be called from any number of threads at once — queries take a
 /// shared lock on the instance; the parse caches, plan cache, name pool,
 /// and per-collection access stats they touch are internally
@@ -264,9 +296,10 @@ class Database {
   // ---- Query ----
 
   /// Executes an XQuery: Prepare (served from the plan cache when the
-  /// exact text was prepared before and no DDL intervened) followed by
-  /// ExecutePrepared. Metrics carry the compile cost actually paid and
-  /// the cache hit/miss of this call. Concurrently callable.
+  /// exact text was prepared before and no DDL intervened), then
+  /// ExecutePreparedStream drained into one QueryResult. Metrics carry
+  /// the compile cost actually paid and the cache hit/miss of this call;
+  /// elapsed_ms spans prepare plus execution. Concurrently callable.
   Result<QueryResult> Execute(const std::string& query,
                               const ExecParams& exec = ExecParams()) const;
 
@@ -282,23 +315,19 @@ class Database {
   Result<PrepareOutcome> Prepare(const xquery::CompiledQueryPtr& compiled)
       const;
 
-  /// Evaluates a prepared plan: computes the data-dependent candidate
-  /// sets from the current indexes, evaluates, serializes. Pays no parse
-  /// and no static analysis (`metrics.compile_ms == 0`). The plan may
-  /// come from this engine, another engine, or PreparedQuery built by the
-  /// caller. Concurrently callable; `exec` optionally enables intra-node
-  /// morsel parallelism for this one evaluation.
-  Result<QueryResult> ExecutePrepared(
-      const PreparedQuery& prepared,
-      const ExecParams& exec = ExecParams()) const;
-
-  /// Streaming form of ExecutePrepared: instead of one materialized
-  /// QueryResult, returns a pull-based cursor yielding ResultBlocks whose
-  /// concatenation is byte-, item-, and metrics-identical to the
-  /// materialized call. The cursor holds this database's shared lock for
-  /// its whole life (DDL waits until every open cursor is destroyed), so
-  /// create, drain, and destroy it on ONE thread — a shared_mutex must be
-  /// released by the locking thread. The plan must outlive the cursor.
+  /// Evaluates a prepared plan as a pull-based cursor yielding
+  /// ResultBlocks: computes the data-dependent candidate sets from the
+  /// current indexes, then evaluates and serializes block by block. Pays
+  /// no parse and no static analysis (`metrics.compile_ms == 0`). The
+  /// plan may come from this engine, another engine, or a PreparedQuery
+  /// built by the caller; it must outlive the cursor. This is the only
+  /// way a prepared plan is evaluated — a materialized answer is this
+  /// cursor drained (DrainCursor). The cursor holds this database's
+  /// shared lock for its whole life (DDL waits until every open cursor is
+  /// destroyed), so create, drain, and destroy it on ONE thread — a
+  /// shared_mutex must be released by the locking thread. Concurrently
+  /// callable; `exec` optionally enables intra-node morsel parallelism
+  /// and sets the block size.
   Result<ResultCursorPtr> ExecutePreparedStream(
       const PreparedQuery& prepared,
       const ExecParams& exec = ExecParams()) const;
@@ -350,13 +379,8 @@ class Database {
   /// reference the changed collection).
   void InvalidatePlans();
 
-  /// Execution body; requires mu_ held (shared).
-  Result<QueryResult> ExecutePreparedLocked(const PreparedQuery& prepared,
-                                            const ExecParams& exec) const;
-
   /// Data-dependent candidate planning (index-posting intersection into
   /// sorted per-collection slot lists); requires mu_ held (shared).
-  /// Shared by the materialized and streaming paths.
   void PlanCandidates(
       const std::map<std::string, CollectionPlan>& plans,
       std::map<std::string, std::vector<storage::DocSlot>>* candidates,
@@ -394,16 +418,15 @@ class Database {
 
 /// A pull-based streamed query result, opened by
 /// Database::ExecutePreparedStream. Yields fixed-size ResultBlocks whose
-/// concatenated items/bytes equal the materialized QueryResult exactly;
+/// concatenated items/bytes are the query's answer at any block size;
 /// metrics() is complete (elapsed, result counts, store/evaluator
 /// attribution) once Next() has returned false.
 ///
 /// Thread contract: NOT thread-safe, and lock-bound — the cursor holds
 /// the database's shared lock from open to destruction, so it must be
 /// created, drained, and destroyed on the same thread (shared_mutex
-/// ownership is per-thread). Dropping a cursor early releases the lock
-/// but skips the final stats fold, exactly like an errored materialized
-/// execution.
+/// ownership is per-thread). Dropping a cursor early (or an evaluation
+/// error) releases the lock but skips the final stats fold.
 class ResultCursor {
  public:
   ~ResultCursor();

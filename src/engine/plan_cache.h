@@ -19,9 +19,9 @@ namespace partix::xdb {
 /// The engine-side prepared statement: the compiled query plus the static
 /// planner's per-collection site constraints. Holds no pointers into any
 /// Database — the data-dependent part of planning (index-posting
-/// intersection into candidate document slots) happens at
-/// ExecutePrepared() time, because stored documents change between
-/// executions while the query's structure does not.
+/// intersection into candidate document slots) happens when
+/// ExecutePreparedStream opens a cursor, because stored documents change
+/// between executions while the query's structure does not.
 ///
 /// Thread-safety: deeply immutable; safe to share across threads. A plan
 /// prepared on one Database may be executed on another (the constraints

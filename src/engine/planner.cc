@@ -40,11 +40,14 @@ class Analyzer {
  private:
   /// Adds the names along the spine of `e` to the site's required
   /// elements when `e` is a path over the context item or over `var`, the
-  /// FLWOR variable bound to the site (predicate/where usage); any other
-  /// expression adds nothing.
-  void RequireSpine(const Expr& e, SiteConstraints* site,
+  /// FLWOR variable bound to the site (predicate/where usage), or over
+  /// such a path: the parser nests `Release/Date` as a path whose source
+  /// is the path `Release`, so the source is mined first and the outer
+  /// steps only when it qualified. Returns whether `e` qualified; any
+  /// other expression adds nothing.
+  bool RequireSpine(const Expr& e, SiteConstraints* site,
                     const std::string* var) {
-    if (!e.Is<PathExpr>()) return;
+    if (!e.Is<PathExpr>()) return false;
     const auto& p = e.As<PathExpr>();
     if (p.source == nullptr) {
       // Absolute path inside a predicate: applies to the context document;
@@ -54,13 +57,14 @@ class Analyzer {
     } else if (var != nullptr && p.source->Is<VarRef>() &&
                p.source->As<VarRef>().name == *var) {
       // Path over the tracked FLWOR variable.
-    } else {
-      return;
+    } else if (!RequireSpine(*p.source, site, var)) {
+      return false;
     }
     for (const AxisStep& s : p.steps) {
       if (!s.step.wildcard) site->required_elements.push_back(s.step.name);
       // Nested step predicates inside predicate paths are not mined.
     }
+    return true;
   }
 
   /// Mines one conjunct of a predicate/where expression for constraints on

@@ -15,8 +15,7 @@ namespace {
 /// (the mid-response node death failover must recover from), and — when
 /// the open-time gate drew response corruption — one flipped character in
 /// the first non-empty block, applied after the driver stamped that
-/// block's digest so the mangling is detectable, exactly like the
-/// materialized path's wire corruption.
+/// block's digest so the wire mangling is detectable.
 class GatedStream : public SubQueryStream {
  public:
   GatedStream(SubQueryStreamPtr inner, size_t node,
@@ -139,24 +138,6 @@ Status ClusterSim::FaultGate(size_t i, double stall_budget_ms,
   return Status::Ok();
 }
 
-Status ClusterSim::PassFaultGate(size_t i, double stall_budget_ms,
-                                 bool* corrupt_response) {
-  double spike_ms = 0.0;
-  bool crash_restart = false;
-  Status gate = FaultGate(i, stall_budget_ms, &spike_ms, corrupt_response,
-                          &crash_restart);
-  // Cache drop and stalls happen outside the fault mutex: a restarting or
-  // stalling node must not block fault draws for concurrent requests to
-  // the same node. On a budget-capped spike the client hangs on for the
-  // budget, then gives up — fail fast instead of sleeping out a result
-  // nobody will accept.
-  if (crash_restart) nodes_[i]->DropCaches();
-  if (spike_ms > 0.0) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(spike_ms / 1e3));
-  }
-  return gate;
-}
-
 Result<PreparedSubQueryPtr> ClusterSim::PrepareOnNode(
     size_t i, const xquery::CompiledQueryPtr& compiled) {
   if (i >= nodes_.size()) {
@@ -172,26 +153,6 @@ Result<PreparedSubQueryPtr> ClusterSim::PrepareOnNode(
   return nodes_[i]->Prepare(compiled);
 }
 
-Result<xdb::QueryResult> ClusterSim::ExecutePreparedOnNode(
-    size_t i, const PreparedSubQuery& prepared, double stall_budget_ms,
-    const xdb::ExecParams& exec) {
-  if (i >= nodes_.size()) {
-    return Status::OutOfRange("node " + std::to_string(i) +
-                              " out of range");
-  }
-  bool corrupt_response = false;
-  PARTIX_RETURN_IF_ERROR(
-      PassFaultGate(i, stall_budget_ms, &corrupt_response));
-  Result<xdb::QueryResult> result =
-      nodes_[i]->ExecutePrepared(prepared, exec);
-  if (result.ok() && corrupt_response) {
-    // Corrupt *after* the node stamped its digest: this is the wire
-    // mangling the bytes, not the engine producing a wrong answer.
-    CorruptXmlText(&result->serialized, result->response_digest);
-  }
-  return result;
-}
-
 Result<SubQueryStreamPtr> ClusterSim::ExecutePreparedStreamOnNode(
     size_t i, const PreparedSubQuery& prepared, double stall_budget_ms,
     const xdb::ExecParams& exec) {
@@ -199,9 +160,21 @@ Result<SubQueryStreamPtr> ClusterSim::ExecutePreparedStreamOnNode(
     return Status::OutOfRange("node " + std::to_string(i) +
                               " out of range");
   }
+  double spike_ms = 0.0;
   bool corrupt_response = false;
-  PARTIX_RETURN_IF_ERROR(
-      PassFaultGate(i, stall_budget_ms, &corrupt_response));
+  bool crash_restart = false;
+  Status gate = FaultGate(i, stall_budget_ms, &spike_ms, &corrupt_response,
+                          &crash_restart);
+  // Cache drop and stalls happen outside the fault mutex: a restarting or
+  // stalling node must not block fault draws for concurrent requests to
+  // the same node. On a budget-capped spike the client hangs on for the
+  // budget, then gives up — fail fast instead of sleeping out a result
+  // nobody will accept.
+  if (crash_restart) nodes_[i]->DropCaches();
+  if (spike_ms > 0.0) {
+    std::this_thread::sleep_for(std::chrono::duration<double>(spike_ms / 1e3));
+  }
+  PARTIX_RETURN_IF_ERROR(gate);
   // Snapshot the deterministic streaming knobs under the fault mutex at
   // open time: a control-plane profile swap mid-stream must not tear them.
   int64_t fail_after_blocks = -1;
@@ -217,6 +190,15 @@ Result<SubQueryStreamPtr> ClusterSim::ExecutePreparedStreamOnNode(
   return SubQueryStreamPtr(std::make_unique<GatedStream>(
       std::move(stream), i, fail_after_blocks, block_stall_ms,
       corrupt_response));
+}
+
+Result<xdb::QueryResult> ClusterSim::ExecutePreparedOnNode(
+    size_t i, const PreparedSubQuery& prepared, double stall_budget_ms,
+    const xdb::ExecParams& exec) {
+  PARTIX_ASSIGN_OR_RETURN(
+      SubQueryStreamPtr stream,
+      ExecutePreparedStreamOnNode(i, prepared, stall_budget_ms, exec));
+  return xdb::DrainCursor(*stream);
 }
 
 Status ClusterSim::CreateCollectionOnNode(size_t i,

@@ -69,20 +69,25 @@ struct FaultProfile {
   double crash_restart_rate = 0.0;
   /// Probability that a *served* request's response is corrupted in
   /// flight: the engine executes normally, then one text character of the
-  /// serialized result is flipped after the node-side digest was stamped,
-  /// so integrity verification (ExecutionOptions::verify_integrity) can
-  /// detect the mangled response and fail over.
+  /// first non-empty result block is flipped after the node-side block
+  /// digest was stamped, so integrity verification
+  /// (ExecutionOptions::verify_integrity) can detect the mangled response
+  /// and fail over.
   double response_corruption_rate = 0.0;
-  /// Streaming data plane only: the node's block stream serves this many
-  /// blocks, then every further Next() fails with a retryable
-  /// kUnavailable (-1 = never). Deterministic — consumes no RNG draw
-  /// (the open already drew the gate's stochastic knobs). Models a node
-  /// dying mid-response after part of the result crossed the wire, the
-  /// case failover must handle by discarding the partial prefix.
+  /// Every response is a block stream (a materialized one is drained), so
+  /// the two stream knobs below apply to every attempt, streaming or
+  /// materialized at the coordinator.
+  /// The node's block stream serves this many blocks, then every further
+  /// Next() fails with a retryable kUnavailable (-1 = never); a drained
+  /// answer of exactly N blocks fails too, on the Next() that would have
+  /// reported its end. Deterministic — consumes no RNG draw (the open
+  /// already drew the gate's stochastic knobs). Models a node dying
+  /// mid-response after part of the result crossed the wire, the case
+  /// failover must handle by discarding the partial prefix.
   int64_t fail_stream_after_blocks = -1;
-  /// Streaming data plane only: every block Next() stalls this long
-  /// before the engine produces the block (deterministic, no RNG draw).
-  /// Emulates a slow producer for deadline-expires-mid-stream tests.
+  /// Every block Next() stalls this long before the engine produces the
+  /// block (deterministic, no RNG draw). Emulates a slow producer for
+  /// deadline-expires-mid-stream tests.
   double stream_block_stall_ms = 0.0;
   /// Probability that a document *stored* through the cluster's data
   /// plane (publisher, replica repair) is silently corrupted at rest: one
@@ -139,11 +144,20 @@ class ClusterSim {
       size_t i, const xquery::CompiledQueryPtr& compiled);
 
   /// The data plane: runs a handle from PrepareOnNode(i, ...) on node `i`
-  /// through its fault profile — a down (or fail-after-exhausted) node
-  /// rejects with kUnavailable, transient faults reject without touching
-  /// the engine, latency spikes stall the calling worker — then the
-  /// node's driver executes the handle without recompiling. Thread-safe;
-  /// this is what the executor dispatches through.
+  /// through its fault profile, then opens the node driver's block stream
+  /// without recompiling. The fault gate runs ONCE at open (one RNG draw
+  /// sequence and one engine request per attempt — a stream is one
+  /// engine request no matter how many blocks it yields): a down (or
+  /// fail-after-exhausted) node rejects with kUnavailable, transient
+  /// faults reject without touching the engine, latency spikes stall the
+  /// calling worker. The returned stream then applies the node's
+  /// deterministic stream knobs: per-block stalls
+  /// (stream_block_stall_ms), fail-after-N-blocks
+  /// (fail_stream_after_blocks), and — when the gate drew response
+  /// corruption — one flipped character in the first non-empty block,
+  /// after the driver stamped that block's digest. Thread-safe to open;
+  /// the returned stream follows the driver stream's one-thread contract.
+  /// This is what the executor dispatches through.
   ///
   /// `stall_budget_ms` caps how long an injected latency spike may stall
   /// this call: when the spike exceeds it, the call stalls only for the
@@ -152,22 +166,16 @@ class ClusterSim {
   /// < 0 (the default) = uncapped.
   ///
   /// `exec` forwards per-call execution knobs (intra-node morsel
-  /// parallelism) to the node's driver.
-  Result<xdb::QueryResult> ExecutePreparedOnNode(
+  /// parallelism, block size) to the node's driver.
+  Result<SubQueryStreamPtr> ExecutePreparedStreamOnNode(
       size_t i, const PreparedSubQuery& prepared,
       double stall_budget_ms = -1.0, const xdb::ExecParams& exec = {});
 
-  /// Streaming counterpart of ExecutePreparedOnNode: the same fault gate
-  /// runs ONCE at open (one draw / one engine request per attempt — a
-  /// stream is one engine request no matter how many blocks it yields),
-  /// then the returned stream applies the node's deterministic streaming
-  /// knobs: per-block stalls (stream_block_stall_ms),
-  /// fail-after-N-blocks (fail_stream_after_blocks), and — when the gate
-  /// drew response corruption — one flipped character in the first
-  /// non-empty block, after the driver stamped that block's digest.
-  /// Thread-safe to open; the returned stream follows the driver
-  /// stream's one-thread contract.
-  Result<SubQueryStreamPtr> ExecutePreparedStreamOnNode(
+  /// ExecutePreparedStreamOnNode drained into one QueryResult
+  /// (xdb::DrainCursor): the same single fault gate and stream knobs.
+  /// Block digests are not verified here — a caller that needs
+  /// integrity checking consumes the stream itself, as the executor does.
+  Result<xdb::QueryResult> ExecutePreparedOnNode(
       size_t i, const PreparedSubQuery& prepared,
       double stall_budget_ms = -1.0, const xdb::ExecParams& exec = {});
 
@@ -234,13 +242,6 @@ class ClusterSim {
   /// knob, keeping the schedule identical to an uncapped run).
   Status FaultGate(size_t i, double stall_budget_ms, double* spike_ms,
                    bool* corrupt_response, bool* crash_restart);
-
-  /// FaultGate plus its effects outside the fault mutex: the cache drop
-  /// of a crash-restart and the (capped) latency-spike stall. Shared by
-  /// ExecutePreparedOnNode and ExecutePreparedStreamOnNode, so both have
-  /// identical fault semantics.
-  Status PassFaultGate(size_t i, double stall_budget_ms,
-                       bool* corrupt_response);
 
   std::vector<std::unique_ptr<LocalXdbDriver>> nodes_;
   std::vector<std::unique_ptr<NodeFaultState>> faults_;

@@ -96,11 +96,12 @@ class LocalPreparedSubQuery : public PreparedSubQuery {
 /// lock, both held open-to-destruction. Member order matters — the
 /// cursor (which holds the *database's* shared lock) must be destroyed
 /// before the driver lock is released, so the driver lock is declared
-/// first. Each block is digest-stamped here, node-side, exactly like the
-/// materialized path stamps QueryResult::response_digest; engine time is
-/// accumulated across Next() calls and observed once at destruction so
-/// the partix_engine_execute_ms histogram still sees one sample per
-/// (sub-query, node) execution.
+/// first. Each block is digest-stamped here, node-side, while its bytes
+/// are still what the engine produced: anything that mangles them later
+/// (the simulated wire, a buggy middlebox) is detectable by the
+/// executor's integrity check. Engine time is accumulated across Next()
+/// calls and observed once at destruction so the partix_engine_execute_ms
+/// histogram sees one sample per (sub-query, node) execution.
 class LocalSubQueryStream : public SubQueryStream {
  public:
   LocalSubQueryStream(std::shared_lock<std::shared_mutex> driver_lock,
@@ -163,30 +164,6 @@ Result<PreparedSubQueryPtr> LocalXdbDriver::Prepare(
   PARTIX_ASSIGN_OR_RETURN(xdb::PrepareOutcome outcome, db_.Prepare(compiled));
   return PreparedSubQueryPtr(std::make_shared<LocalPreparedSubQuery>(
       std::move(outcome.plan), outcome.cache_hit, outcome.compile_ms));
-}
-
-Result<xdb::QueryResult> LocalXdbDriver::ExecutePrepared(
-    const PreparedSubQuery& prepared, const xdb::ExecParams& exec) {
-  const auto* local = dynamic_cast<const LocalPreparedSubQuery*>(&prepared);
-  if (local == nullptr) {
-    return Status::InvalidArgument(
-        "prepared handle was not produced by a LocalXdbDriver");
-  }
-  const DriverTelemetry& telemetry = DriverTelemetry::Get();
-  // Shared: concurrent queries (and this query's own morsel workers, who
-  // run under the engine's shared lock on the pool this thread blocks in)
-  // proceed together; only loads/DDL exclude us.
-  TimedSharedLock lock(mu_);
-  telemetry.executes->Add();
-  Stopwatch engine_watch;
-  Result<xdb::QueryResult> result = db_.ExecutePrepared(*local->plan(), exec);
-  telemetry.engine_ms->Observe(engine_watch.ElapsedMillis());
-  // Stamp the response digest node-side, while the bytes are still what
-  // the engine produced: anything that mangles `serialized` after this
-  // point (the simulated wire, a buggy middlebox) is detectable by the
-  // executor's integrity check.
-  if (result.ok()) result->response_digest = Fnv1a64(result->serialized);
-  return result;
 }
 
 Result<SubQueryStreamPtr> LocalXdbDriver::ExecutePreparedStream(

@@ -39,11 +39,12 @@ class PreparedSubQuery {
 using PreparedSubQueryPtr = std::shared_ptr<const PreparedSubQuery>;
 
 /// A pull-based streamed sub-query response: the driver-side face of the
-/// batched result pipeline. Blocks arrive in result order; their
-/// serializations concatenate to exactly what the materialized
-/// ExecutePrepared would have returned, and each block carries a
-/// driver-stamped digest so the executor can verify integrity
-/// block-by-block. metrics() is complete once Next() has returned false.
+/// engine's block cursor, and the only shape a sub-query response takes.
+/// Blocks arrive in result order; their serializations concatenate to
+/// the sub-query's answer (xdb::DrainCursor materializes one), and each
+/// block carries a driver-stamped digest so the executor can verify
+/// integrity block-by-block. metrics() is complete once Next() has
+/// returned false.
 ///
 /// Thread contract: NOT thread-safe, and (for lock-bound drivers like
 /// LocalXdbDriver) the stream holds node-side locks from open to
@@ -71,11 +72,11 @@ using SubQueryStreamPtr = std::unique_ptr<SubQueryStream>;
 /// written against this interface.
 ///
 /// Every sub-query reaches a node the same way: Prepare a compiled query
-/// once, then execute the handle materialized (ExecutePrepared) or as a
-/// block stream (ExecutePreparedStream).
+/// once, then execute the handle as a block stream
+/// (ExecutePreparedStream); a materialized answer is that stream drained.
 ///
 /// Thread-safety contract: implementations must tolerate concurrent
-/// Prepare/ExecutePrepared/ExecutePreparedStream/DropCaches calls from
+/// Prepare/ExecutePreparedStream/DropCaches calls from
 /// executor worker threads — a node is "one DBMS", and one DBMS accepts
 /// requests from many connections at once. Under the multi-query
 /// scheduler those workers serve *different queries*: queries on the
@@ -102,25 +103,19 @@ class Driver {
 
   /// Compiles (or fetches from the node's plan cache) a prepared handle
   /// for a query the middleware already compiled. The handle is reusable
-  /// for any number of ExecutePrepared calls on this driver.
+  /// for any number of ExecutePreparedStream calls on this driver.
   virtual Result<PreparedSubQueryPtr> Prepare(
       const xquery::CompiledQueryPtr& compiled) = 0;
 
-  /// Executes a handle obtained from this driver's Prepare. Pays no parse
-  /// and no static analysis (`metrics.compile_ms == 0`). Implementations
-  /// stamp `QueryResult::response_digest` (FNV-1a of the serialized
-  /// result) node-side before the response crosses the wire, so the
-  /// executor can detect in-flight corruption end-to-end. `exec` carries
-  /// per-call execution knobs (intra-node morsel parallelism); drivers
-  /// that cannot honor them run sequentially — results are identical
-  /// either way.
-  virtual Result<xdb::QueryResult> ExecutePrepared(
-      const PreparedSubQuery& prepared, const xdb::ExecParams& exec = {}) = 0;
-
-  /// Streaming form of ExecutePrepared: a pull-based block cursor instead
-  /// of one materialized response. Blocks are digest-stamped
-  /// individually; the concatenation is byte-identical to the
-  /// materialized call. The handle must outlive the stream.
+  /// Executes a handle obtained from this driver's Prepare as a
+  /// pull-based block stream. Pays no parse and no static analysis
+  /// (`metrics.compile_ms == 0`). Implementations stamp every block's
+  /// digest (FNV-1a of its serialized bytes) node-side before the block
+  /// crosses the wire, so the executor can detect in-flight corruption
+  /// end-to-end. `exec` carries per-call execution knobs (intra-node
+  /// morsel parallelism, block size); drivers that cannot honor them run
+  /// sequentially — results are identical either way. The handle must
+  /// outlive the stream.
   virtual Result<SubQueryStreamPtr> ExecutePreparedStream(
       const PreparedSubQuery& prepared, const xdb::ExecParams& exec = {}) = 0;
 
@@ -157,7 +152,7 @@ class Driver {
 /// Driver for an in-process xdb::Database instance.
 ///
 /// Thread-safe for the Driver interface with reader-writer semantics: the
-/// query surface (Prepare/ExecutePrepared/ExecutePreparedStream and the
+/// query surface (Prepare/ExecutePreparedStream and the
 /// repair-side reads) holds a shared lock, so any number of executor
 /// workers — and the morsel workers a query fans out inside the engine —
 /// read the node concurrently; DDL and document loading take the lock
@@ -179,9 +174,6 @@ class LocalXdbDriver : public Driver {
       std::map<std::string, std::string> metadata) override;
   Result<PreparedSubQueryPtr> Prepare(
       const xquery::CompiledQueryPtr& compiled) override;
-  Result<xdb::QueryResult> ExecutePrepared(
-      const PreparedSubQuery& prepared,
-      const xdb::ExecParams& exec = {}) override;
   Result<SubQueryStreamPtr> ExecutePreparedStream(
       const PreparedSubQuery& prepared,
       const xdb::ExecParams& exec = {}) override;

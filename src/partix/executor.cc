@@ -406,7 +406,7 @@ void Executor::RunOne(const SubQuery& sub, size_t index,
 
     Stopwatch attempt_watch(clock_);
     bool prepare_failed = false;
-    bool stream_opened = false;
+    bool opened = false;
     Result<xdb::QueryResult> result = [&]() -> Result<xdb::QueryResult> {
       auto it = prepared_by_node.find(node);
       if (it == prepared_by_node.end()) {
@@ -452,89 +452,77 @@ void Executor::RunOne(const SubQuery& sub, size_t index,
         // real parallelism.
         std::this_thread::sleep_for(std::chrono::duration<double>(rpc_sec));
       }
-      if (options.stream != nullptr) {
-        // Streaming attempt: open the node's block cursor, then forward
-        // blocks into the channel as they arrive. Integrity and the
-        // attempt budget are enforced per block; any failure here flows
-        // through the normal retry/failover machinery, and the channel's
-        // replay verification makes the next attempt's re-produced
-        // prefix invisible to the consumer.
-        Result<SubQueryStreamPtr> opened =
-            cluster_->ExecutePreparedStreamOnNode(node, handle,
-                                                  stall_budget_ms, exec);
-        if (!opened.ok()) return opened.status();
-        stream_opened = true;
-        SubQueryStreamPtr stream = std::move(*opened);
-        options.stream->BeginAttempt(index);
-        for (;;) {
-          xdb::ResultBlock block;
-          Result<bool> more = stream->Next(&block);
-          if (!more.ok()) return more.status();
-          if (!*more) break;
-          if (options.verify_response_digests && block.digest != 0 &&
-              Fnv1a64(block.serialized) != block.digest) {
-            ++out->corrupt_responses;
-            counters.corrupt_responses->Add();
-            if (attempt_span != nullptr) {
-              attempt_span->AddTag("corrupt", "true");
-            }
-            return Status::Unavailable("corrupt response from node" +
-                                       std::to_string(node) +
-                                       " (digest mismatch)");
+      // Every attempt opens the node's block stream and verifies each
+      // block's digest as it arrives. With a channel, verified blocks are
+      // forwarded into it and the attempt budget is enforced per block;
+      // any failure flows through the normal retry/failover machinery,
+      // and the channel's replay verification makes the next attempt's
+      // re-produced prefix invisible to the consumer. Without one, the
+      // blocks are appended to this attempt's result (checked against the
+      // budget post hoc, below).
+      Result<SubQueryStreamPtr> stream =
+          cluster_->ExecutePreparedStreamOnNode(node, handle,
+                                                stall_budget_ms, exec);
+      if (!stream.ok()) return stream.status();
+      opened = true;
+      if (options.stream != nullptr) options.stream->BeginAttempt(index);
+      xdb::QueryResult answer;
+      for (;;) {
+        xdb::ResultBlock block;
+        Result<bool> more = (*stream)->Next(&block);
+        if (!more.ok()) return more.status();
+        if (!*more) break;
+        if (options.verify_block_digests && block.digest != 0 &&
+            Fnv1a64(block.serialized) != block.digest) {
+          // The bytes were mangled in flight: the engine's work happened
+          // (counted below) but the response is unusable, so fail over
+          // as a retryable node fault. A corrupt block is never served.
+          ++out->corrupt_responses;
+          counters.corrupt_responses->Add();
+          if (attempt_span != nullptr) {
+            attempt_span->AddTag("corrupt", "true");
           }
-          Status pushed = options.stream->Push(index, std::move(block));
-          if (!pushed.ok()) return pushed;  // non-retryable by design
-          if (attempt_budget_ms > 0.0 &&
-              attempt_watch.ElapsedMillis() > attempt_budget_ms) {
-            return Status::DeadlineExceeded(
-                "attempt to node" + std::to_string(node) +
-                " exceeded its budget (" +
-                std::to_string(attempt_budget_ms) + " ms) mid-stream");
-          }
+          return Status::Unavailable("corrupt response from node" +
+                                     std::to_string(node) +
+                                     " (digest mismatch)");
         }
-        // Clean end: the bytes went through the channel; the result
-        // carries only the engine-side metrics.
-        xdb::QueryResult done;
-        done.metrics = stream->metrics();
-        return done;
+        if (options.stream == nullptr) {
+          xdb::AppendBlock(std::move(block), &answer);
+          continue;
+        }
+        Status pushed = options.stream->Push(index, std::move(block));
+        if (!pushed.ok()) return pushed;  // non-retryable by design
+        if (attempt_budget_ms > 0.0 &&
+            attempt_watch.ElapsedMillis() > attempt_budget_ms) {
+          return Status::DeadlineExceeded(
+              "attempt to node" + std::to_string(node) +
+              " exceeded its budget (" + std::to_string(attempt_budget_ms) +
+              " ms) mid-stream");
+        }
       }
-      return cluster_->ExecutePreparedOnNode(node, handle, stall_budget_ms,
-                                             exec);
+      // With a channel the bytes went through it and the result carries
+      // only the engine-side metrics.
+      answer.metrics = (*stream)->metrics();
+      return answer;
     }();
     const double attempt_ms = attempt_watch.ElapsedMillis();
 
     // An attempt that reached the engine consumed one engine request —
     // track it whether or not the result survives, so node-side request
-    // counters and outcome accounting conserve. The fault gate's
-    // rejections (transient, down, circuit-open prepares) are retryable
-    // kUnavailable and never touched the engine; a prepare never passes
-    // the gate at all, so a failed one is never an engine request,
-    // whatever its status.
-    // Streaming: an attempt whose stream *opened* reached the engine,
-    // even if the stream later died mid-flight with a retryable error.
+    // counters and outcome accounting conserve. That is every attempt
+    // whose stream opened, even one that later died mid-flight, plus an
+    // open the engine refused with a non-retryable error. The fault
+    // gate's rejections (transient, down, circuit-open prepares) are
+    // retryable kUnavailable and never touched the engine; a prepare
+    // never passes the gate at all, so a failed one is never an engine
+    // request, whatever its status.
     const bool engine_served =
-        !prepare_failed &&
-        (result.ok() || stream_opened || !Retryable(result.status()));
+        opened || (!prepare_failed && !Retryable(result.status()));
     if (engine_served) ++out->engine_requests;
 
-    // End-to-end integrity: recompute the digest the node stamped before
-    // the response crossed the (simulated) wire. A mismatch means the
-    // bytes were mangled in flight — the engine's work happened (counted
-    // above) but the result is unusable, so discard it and fail over as a
-    // retryable node fault. A corrupt response must never be served.
-    if (result.ok() && options.verify_response_digests &&
-        result->response_digest != 0 &&
-        Fnv1a64(result->serialized) != result->response_digest) {
-      ++out->corrupt_responses;
-      counters.corrupt_responses->Add();
-      if (attempt_span != nullptr) attempt_span->AddTag("corrupt", "true");
-      result = Status::Unavailable("corrupt response from node" +
-                                   std::to_string(node) +
-                                   " (digest mismatch)");
-    }
-
-    // (Streaming attempts enforce the budget per block instead: blocks
-    // already forwarded through the channel cannot be discarded post hoc.)
+    // (Attempts with a channel enforce the budget per block instead:
+    // blocks already forwarded through the channel cannot be discarded
+    // post hoc.)
     if (result.ok() && options.stream == nullptr && attempt_budget_ms > 0.0 &&
         attempt_ms > attempt_budget_ms) {
       // The node answered, but past its budget: a real client would have

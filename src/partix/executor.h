@@ -76,27 +76,27 @@ struct DispatchOptions {
   /// docs/intra-node-parallelism.md.
   size_t intra_node_parallelism = 1;
   RetryPolicy retry;
-  /// End-to-end integrity: recompute each response's digest and compare
-  /// it against the node-stamped `QueryResult::response_digest`. A
+  /// End-to-end integrity: recompute each response block's digest and
+  /// compare it against the node-stamped `ResultBlock::digest`. A
   /// mismatch is a retryable node fault (the executor fails over to a
-  /// replica), never a served result. Responses carrying no digest
-  /// (response_digest == 0) are not checked.
-  bool verify_response_digests = true;
+  /// replica), never a served result. Blocks carrying no digest
+  /// (digest == 0) are not checked.
+  bool verify_block_digests = true;
   /// When set, every sub-query fills `SubQueryOutcome::span` with its
   /// span subtree (attempts, backoffs, failovers), timed against the
   /// tracer's epoch/clock. Null (the default) records nothing. The
   /// tracer must outlive the Dispatch call; workers only read it.
   const telemetry::Tracer* tracer = nullptr;
-  /// When set, sub-queries stream: each worker opens a block cursor on
-  /// its node and forwards blocks into this channel (lane = sub-query
-  /// index) as they arrive, instead of materializing one QueryResult.
-  /// Every block is digest-verified (under verify_response_digests)
-  /// before it enters the channel; a mid-stream node failure fails over
-  /// and the channel's replay verification keeps the forwarded prefix
-  /// exact. On success the outcome's result is a QueryResult carrying
-  /// only metrics (empty bytes — they went through the channel). The
-  /// channel must outlive the Dispatch; Finish(index, status) fires
-  /// exactly once per sub-query, after all retries resolved.
+  /// Every attempt opens a block stream on its node and digest-verifies
+  /// each block (under verify_block_digests). When this is set, the
+  /// verified blocks are forwarded into the channel (lane = sub-query
+  /// index) as they arrive; a mid-stream node failure fails over and the
+  /// channel's replay verification keeps the forwarded prefix exact. On
+  /// success the outcome's result is a QueryResult carrying only metrics
+  /// (empty bytes — they went through the channel). The channel must
+  /// outlive the Dispatch; Finish(index, status) fires exactly once per
+  /// sub-query, after all retries resolved. Null (the default): the
+  /// blocks are drained into the outcome's QueryResult.
   BlockChannel* stream = nullptr;
   /// Target items per streamed block (0 = the engine default).
   size_t stream_block_items = 0;

@@ -497,7 +497,7 @@ Result<DistributedResult> QueryService::ExecutePlan(
   dispatch_options.parallelism = options.parallelism;
   dispatch_options.intra_node_parallelism = options.intra_node_parallelism;
   dispatch_options.retry = options.retry;
-  dispatch_options.verify_response_digests = options.verify_integrity;
+  dispatch_options.verify_block_digests = options.verify_integrity;
   if (options.trace) dispatch_options.tracer = &tracer;
   const double dispatch_start_ms = options.trace ? tracer.NowMs() : 0.0;
   std::vector<SubQueryOutcome> outcomes;
@@ -875,11 +875,13 @@ Result<std::string> QueryService::ComposeJoin(
   }
 
   // Reuse the plan's compiled original query: the scratch engine analyzes
-  // the shared AST without re-parsing.
+  // the shared AST without re-parsing, and its cursor is drained here.
   PARTIX_ASSIGN_OR_RETURN(xdb::PrepareOutcome prepared,
                           scratch.Prepare(plan.compiled));
+  PARTIX_ASSIGN_OR_RETURN(xdb::ResultCursorPtr cursor,
+                          scratch.ExecutePreparedStream(*prepared.plan));
   PARTIX_ASSIGN_OR_RETURN(xdb::QueryResult final_result,
-                          scratch.ExecutePrepared(*prepared.plan));
+                          xdb::DrainCursor(*cursor));
   *result_items = final_result.metrics.result_items;
   return final_result.serialized;
 }

@@ -185,8 +185,8 @@ struct ExecutionOptions {
   RetryPolicy retry;
   /// What to do when sub-queries fail despite retries and failover.
   PartialResultPolicy partial_results = PartialResultPolicy::kFail;
-  /// End-to-end integrity: verify each sub-query response against its
-  /// node-stamped digest; a mismatch is treated as a retryable node
+  /// End-to-end integrity: verify each sub-query response block against
+  /// its node-stamped digest; a mismatch is treated as a retryable node
   /// fault (discard, fail over). On by default — the check is one
   /// FNV-1a pass over bytes the coordinator already holds.
   bool verify_integrity = true;
@@ -196,10 +196,11 @@ struct ExecutionOptions {
   bool trace = false;
   /// Batched streaming result pipeline (the default): each node's engine
   /// emits its result as fixed-size item blocks that flow through a
-  /// bounded coordinator-side channel and compose incrementally, instead
-  /// of materializing every partial before composition starts. The
-  /// composed answer is byte-identical either way; set false for the
-  /// materialize-then-compose ablation.
+  /// bounded coordinator-side channel and compose incrementally. Set
+  /// false for the materialize-then-compose ablation: each worker drains
+  /// its node's block stream into one partial, and composition starts
+  /// once every partial is in. The composed answer is byte-identical
+  /// either way.
   bool streaming = true;
   /// Target items per streamed block (0 falls back to the engine default
   /// of 256). Smaller blocks lower time-to-first-byte; larger blocks

@@ -39,14 +39,6 @@ PostingList IntersectPostings(const PostingList& a, const PostingList& b) {
   return out;
 }
 
-PostingList UnionPostings(const PostingList& a, const PostingList& b) {
-  PostingList out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  return out;
-}
-
 void StructuralIndex::AddDocument(DocSlot slot, const xml::Document& doc) {
   if (doc.empty()) return;
   // Per-name level envelope for this document, folded into the postings

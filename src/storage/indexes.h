@@ -17,9 +17,6 @@ using PostingList = std::vector<DocSlot>;
 /// Intersects two sorted posting lists.
 PostingList IntersectPostings(const PostingList& a, const PostingList& b);
 
-/// Unions two sorted posting lists.
-PostingList UnionPostings(const PostingList& a, const PostingList& b);
-
 /// Structural label index, the one document index of a collection:
 /// element/attribute name -> per-document level summaries of the name's
 /// occurrences. Built from the same (pre, post, level) labels the

@@ -8,7 +8,7 @@
 //   - stats conservation: merged per-morsel EvalStats equal the
 //     single-threaded totals exactly (nodes_visited, index_range_scans,
 //     index_range_hits) — no ManualClock, counters only
-//   - concurrent Execute + ExecutePrepared on ONE Database, mixed with
+//   - concurrent Execute + ExecutePreparedStream on ONE Database, mixed with
 //     plan-cache eviction pressure (tiny cache) and memory-governor
 //     pressure (tiny budget), all through the shared-lock read path
 //   - LocalXdbDriver reader-writer split: concurrent queries while a
@@ -168,7 +168,7 @@ TEST_F(MorselDbTest, ConcurrentMorselsOnSaturatedPoolStillComplete) {
   EXPECT_EQ(result->metrics.result_items, 24u);
 }
 
-// --- concurrent Execute/ExecutePrepared on one Database ------------------
+// --- concurrent Execute/ExecutePreparedStream on one Database ------------
 
 TEST(EngineConcurrentTest, ConcurrentExecuteUnderCacheAndGovernorPressure) {
   // Tiny plan cache (2 entries, so 4 distinct queries continually evict)
@@ -225,7 +225,9 @@ TEST(EngineConcurrentTest, ConcurrentExecuteUnderCacheAndGovernorPressure) {
         const size_t q = (t + iter) % queries.size();
         Result<xdb::QueryResult> result = Status::Ok();
         if (t % 3 == 0) {
-          result = db.ExecutePrepared(*plans[q]);
+          auto cursor = db.ExecutePreparedStream(*plans[q]);
+          result = cursor.ok() ? xdb::DrainCursor(**cursor)
+                               : Result<xdb::QueryResult>(cursor.status());
         } else if (t % 3 == 1) {
           result = db.Execute(queries[q]);
         } else {
@@ -274,7 +276,9 @@ TEST(DriverConcurrentTest, ConcurrentQueriesWithWriterMakeProgress) {
   auto count_items = [&driver, &compiled]() -> Result<xdb::QueryResult> {
     PARTIX_ASSIGN_OR_RETURN(middleware::PreparedSubQueryPtr handle,
                             driver.Prepare(*compiled));
-    return driver.ExecutePrepared(*handle);
+    PARTIX_ASSIGN_OR_RETURN(middleware::SubQueryStreamPtr stream,
+                            driver.ExecutePreparedStream(*handle));
+    return xdb::DrainCursor(*stream);
   };
   std::atomic<size_t> reader_errors{0};
   std::vector<std::thread> readers;

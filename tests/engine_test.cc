@@ -108,6 +108,14 @@ TEST_P(NamePresencePruningTest, SkipsDocumentsLackingAPredicateName) {
   EXPECT_EQ(last_metrics_.docs_considered, 3u);
   EXPECT_EQ(Run("count(collection(\"items\")/Item[Name])"), "4");
   EXPECT_EQ(last_metrics_.docs_considered, 4u);
+  // A nested relative path requires every one of its steps.
+  Store("<Item><Code>5</Code><Name>dated</Name>"
+        "<Release><Date>2006</Date></Release></Item>");
+  EXPECT_EQ(
+      Run("count(collection(\"items\")/Item[Release/Date = \"2006\"])"),
+      "1");
+  EXPECT_EQ(last_metrics_.docs_in_collections, 5u);
+  EXPECT_EQ(last_metrics_.docs_considered, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(StructuralLabels, NamePresencePruningTest,
@@ -244,6 +252,24 @@ TEST(PlannerTest, StartsWithAndExistsRequireTheirPath) {
   const SiteConstraints& site = plans["c"].sites[0];
   EXPECT_EQ(site.required_elements,
             (std::vector<std::string>{"Item", "Name", "Release"}));
+}
+
+TEST(PlannerTest, NestedRelativePathsRequireEveryStep) {
+  // The parser nests `Release/Date` as a path over the path `Release`;
+  // both steps are required, in order, after the site's own spine.
+  auto plans = Plan(
+      "collection(\"c\")/Item[Name = \"n\" and Release/Date = \"x\"]");
+  const SiteConstraints& site = plans["c"].sites[0];
+  EXPECT_EQ(site.required_elements,
+            (std::vector<std::string>{"Item", "Name", "Release", "Date"}));
+  // Nesting over another site's variable mines only that site.
+  plans = Plan(
+      "for $i in collection(\"c\")/Item, $j in collection(\"d\")/Y "
+      "where exists(($j/A)/B) return $i");
+  EXPECT_EQ(plans["c"].sites[0].required_elements,
+            (std::vector<std::string>{"Item"}));
+  EXPECT_EQ(plans["d"].sites[0].required_elements,
+            (std::vector<std::string>{"Y", "A", "B"}));
 }
 
 TEST(PlannerTest, EachBoundVariableMinesOnlyItsOwnSite) {

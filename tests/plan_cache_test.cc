@@ -11,7 +11,7 @@
 //     before anything is dispatched
 //   - parse-once contract: a middleware execution parses on the
 //     coordinator thread exactly once
-//   - concurrency: parallel Prepare/ExecutePrepared through a
+//   - concurrency: parallel Prepare/ExecutePreparedStream through a
 //     LocalXdbDriver (exercised under TSan by scripts/check.sh)
 
 #include <string>
@@ -141,7 +141,9 @@ TEST_F(PlanCacheDbTest, PreparedReexecutionSkipsParsing) {
   ASSERT_TRUE(prepared.ok());
   const uint64_t before = xquery::ThreadParseCount();
   for (int i = 0; i < 3; ++i) {
-    auto result = db_.ExecutePrepared(*prepared->plan);
+    auto cursor = db_.ExecutePreparedStream(*prepared->plan);
+    ASSERT_TRUE(cursor.ok());
+    auto result = xdb::DrainCursor(**cursor);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->serialized, "<Code>1</Code>");
   }
@@ -263,7 +265,9 @@ TEST(PlanCacheConcurrencyTest, ConcurrentPrepareAndExecutePrepared) {
       for (int i = 0; i < kIters; ++i) {
         auto handle = driver.Prepare(*compiled);
         if (!handle.ok()) continue;
-        auto result = driver.ExecutePrepared(**handle);
+        auto stream = driver.ExecutePreparedStream(**handle);
+        if (!stream.ok()) continue;
+        auto result = xdb::DrainCursor(**stream);
         if (result.ok() && result->serialized == "1") ++ok_counts[t];
       }
     });

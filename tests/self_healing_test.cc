@@ -161,26 +161,33 @@ TEST_F(SelfHealingTest, QuarantineAvoidsNodeUntilLifted) {
 }
 
 TEST_F(SelfHealingTest, CorruptResponseDetectedAndFailedOver) {
-  ExecutionOptions options;
-  options.retry = FastRetry(3);
-  auto baseline = service_->Execute(kWorkload[1], options);
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
+  // Both coordinator modes: a materialized sub-query drains the node's
+  // block stream, so corruption is caught per block either way.
+  for (bool streaming : {true, false}) {
+    SCOPED_TRACE(streaming ? "streaming" : "materialized");
+    cluster_.SetFaultProfile(1, FaultProfile{});
+    ExecutionOptions options;
+    options.retry = FastRetry(3);
+    options.streaming = streaming;
+    auto baseline = service_->Execute(kWorkload[1], options);
+    ASSERT_TRUE(baseline.ok()) << baseline.status();
 
-  // Node 1 (f_DVD primary) corrupts every response in flight. The
-  // executor must detect the digest mismatch, discard the response, and
-  // serve the byte-identical answer from the replica.
-  FaultProfile profile;
-  profile.response_corruption_rate = 1.0;
-  cluster_.SetFaultProfile(1, profile);
+    // Node 1 (f_DVD primary) corrupts every response in flight. The
+    // executor must detect the digest mismatch, discard the response, and
+    // serve the byte-identical answer from the replica.
+    FaultProfile profile;
+    profile.response_corruption_rate = 1.0;
+    cluster_.SetFaultProfile(1, profile);
 
-  auto result = service_->Execute(kWorkload[1], options);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->serialized, baseline->serialized);
-  EXPECT_GE(result->corrupt_responses, 1u);
-  EXPECT_GE(result->failovers, 1u);
-  ASSERT_EQ(result->subqueries.size(), 1u);
-  EXPECT_EQ(result->subqueries[0].node, 2u);
-  EXPECT_GE(result->subqueries[0].corrupt_responses, 1u);
+    auto result = service_->Execute(kWorkload[1], options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->serialized, baseline->serialized);
+    EXPECT_GE(result->corrupt_responses, 1u);
+    EXPECT_GE(result->failovers, 1u);
+    ASSERT_EQ(result->subqueries.size(), 1u);
+    EXPECT_EQ(result->subqueries[0].node, 2u);
+    EXPECT_GE(result->subqueries[0].corrupt_responses, 1u);
+  }
 }
 
 TEST_F(UnreplicatedSelfHealingTest, AllCopiesCorruptFailsNeverServes) {

@@ -8,7 +8,8 @@
 //     permute the merged children)
 //   - failover mid-stream: a node that dies after forwarding blocks is
 //     replaced by a replica; the committed prefix is replay-verified and
-//     the answer stays byte-identical
+//     the answer stays byte-identical (a materialized attempt drains the
+//     same node stream, so the fault hits it too)
 //   - commit barrier: under kReturnPartial a lane that fails mid-stream
 //     contributes nothing — its already-forwarded blocks are dropped
 //   - deadline mid-stream: an expiring deadline leaks zero governor
@@ -291,48 +292,59 @@ TEST(StreamingJoinTest, EqualReconstructionIdsMergeInArrivalOrder) {
 TEST_F(ReplicatedStreamingTest, FailoverMidStreamKeepsAnswerByteIdentical) {
   // Node 1 (f_DVD primary) dies after serving ONE result block; the
   // executor fails over to the replica on node 2, which re-produces the
-  // stream from the start. The channel replay-verifies the committed
-  // prefix and drops it, so the forwarded block is never duplicated and
-  // the answer matches the materialized baseline byte-for-byte.
+  // stream from the start. Streaming, the channel replay-verifies the
+  // committed prefix and drops it, so the forwarded block is never
+  // duplicated; materialized, the attempt drains the same node stream,
+  // so the fault hits it too and its partial answer is discarded. Either
+  // way the answer matches the healthy baseline byte-for-byte.
+  ExecutionOptions healthy;
+  healthy.retry = FastRetry(3);
+  auto base = service_.Execute(kDvdNamesQuery, healthy);
+  ASSERT_TRUE(base.ok()) << base.status();
+  ASSERT_GT(base->result_items, 1u);  // multi-block at block size 1
+
   FaultProfile profile;
   profile.fail_stream_after_blocks = 1;
   cluster_.SetFaultProfile(1, profile);
 
-  ExecutionOptions materialized;
-  materialized.streaming = false;  // unaffected by the stream-only fault
-  materialized.retry = FastRetry(3);
-  auto base = service_.Execute(kDvdNamesQuery, materialized);
-  ASSERT_TRUE(base.ok()) << base.status();
-  ASSERT_GT(base->result_items, 1u);  // multi-block at block size 1
+  for (bool streaming : {true, false}) {
+    SCOPED_TRACE(streaming ? "streaming" : "materialized");
+    auto& registry = telemetry::MetricsRegistry::Global();
+    const bool was_enabled = registry.enabled();
+    registry.set_enabled(true);
+    const BlockCounters before = BlockCounters::Read();
 
-  auto& registry = telemetry::MetricsRegistry::Global();
-  const bool was_enabled = registry.enabled();
-  registry.set_enabled(true);
-  const BlockCounters before = BlockCounters::Read();
+    ExecutionOptions options;
+    options.retry = FastRetry(3);
+    options.streaming = streaming;
+    options.stream_block_items = 1;  // one item per block
+    auto result = service_.Execute(kDvdNamesQuery, options);
 
-  ExecutionOptions streaming;
-  streaming.retry = FastRetry(3);
-  streaming.stream_block_items = 1;  // one item per block
-  auto result = service_.Execute(kDvdNamesQuery, streaming);
+    const BlockCounters after = BlockCounters::Read();
+    registry.set_enabled(was_enabled);
 
-  const BlockCounters after = BlockCounters::Read();
-  registry.set_enabled(was_enabled);
-
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->serialized, base->serialized);
-  EXPECT_EQ(result->result_items, base->result_items);
-  EXPECT_TRUE(result->complete);
-  EXPECT_GE(result->failovers, 1u);
-  EXPECT_GT(result->stream_blocks, 1u);
-  // The failed-over sub-query records where it actually ran.
-  for (const SubQueryStats& stats : result->subqueries) {
-    if (stats.fragment == "f_DVD") EXPECT_EQ(stats.node, 2u);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->serialized, base->serialized);
+    EXPECT_EQ(result->result_items, base->result_items);
+    EXPECT_TRUE(result->complete);
+    EXPECT_GE(result->failovers, 1u);
+    if (streaming) {
+      EXPECT_GT(result->stream_blocks, 1u);
+    } else {
+      EXPECT_EQ(result->stream_blocks, 0u);
+    }
+    // The failed-over sub-query records where it actually ran.
+    for (const SubQueryStats& stats : result->subqueries) {
+      if (stats.fragment == "f_DVD") {
+        EXPECT_EQ(stats.node, 2u);
+      }
+    }
+    // Conservation: every block pushed was either composed or discarded
+    // (replay-dropped duplicates are counted in neither side).
+    EXPECT_EQ(after.total - before.total,
+              (after.consumed - before.consumed) +
+                  (after.discarded - before.discarded));
   }
-  // Conservation: every block pushed was either composed or discarded
-  // (replay-dropped duplicates are counted in neither side).
-  EXPECT_EQ(after.total - before.total, (after.consumed - before.consumed) +
-                                           (after.discarded -
-                                            before.discarded));
 }
 
 // --- commit barrier under kReturnPartial ---------------------------------
