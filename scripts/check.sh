@@ -2,7 +2,8 @@
 # Tier-1 verification across sanitizer configurations.
 #
 # Runs the full test suite three times:
-#   plain    - the default RelWithDebInfo build (the tier-1 gate)
+#   plain    - the default RelWithDebInfo build (the tier-1 gate),
+#              compiled with -Werror so a new warning fails the gate
 #   thread   - ThreadSanitizer        (-DPARTIX_SANITIZE=thread)
 #   address  - ASan + UBSan composite (-DPARTIX_SANITIZE=address)
 #
@@ -27,7 +28,7 @@ for config in "${configs[@]}"; do
   dir="build-check-${config}"
   flags=()
   case "$config" in
-    plain) ;;
+    plain) flags+=(-DCMAKE_CXX_FLAGS=-Werror) ;;
     thread) flags+=(-DPARTIX_SANITIZE=thread) ;;
     address) flags+=(-DPARTIX_SANITIZE=address) ;;
     *)

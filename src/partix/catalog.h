@@ -33,7 +33,7 @@ class SchemaCatalog {
 struct FragmentPlacement {
   std::string fragment;
   size_t node = 0;              // primary replica
-  std::vector<size_t> backups;  // additional replicas, in failover order
+  std::vector<size_t> backups = {};  // additional replicas, in failover order
   /// Expected content digest of the fragment's stored bytes (name-ordered
   /// FNV-1a over (doc name, xml) pairs; see
   /// xdb::Database::CollectionContentDigest), recorded by the publisher

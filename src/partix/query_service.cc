@@ -13,6 +13,8 @@
 #include "partix/stream.h"
 #include "telemetry/metrics.h"
 #include "xml/document.h"
+#include "xml/parser.h"
+#include "xquery/evaluator.h"
 #include "xquery/parser.h"
 
 namespace partix::middleware {
@@ -74,20 +76,108 @@ Result<FetchedDoc> ParseWireDoc(DocumentPtr doc) {
   return out;
 }
 
-/// Copies the attributes and children of `src_root` under `dst_parent`.
-void CopyContentInto(Document* dst, NodeId dst_parent, const Document& src,
-                     NodeId src_root) {
-  for (NodeId c = src.first_child(src_root); c != kNullNode;
-       c = src.next_sibling(c)) {
-    dst->CopySubtree(src, c, dst_parent);
+/// The joined document's layout before it is built: one element per
+/// reconstruction id, whose content is an ordered mix of child containers
+/// and children copied from fragment roots merged into it.
+class JoinLayout {
+ public:
+  static constexpr size_t kNone = static_cast<size_t>(-1);
+
+  /// Creates a container named `name` as the last child of `parent`
+  /// (kNone: the root).
+  size_t AddContainer(std::string name, size_t parent) {
+    const size_t id = containers_.size();
+    containers_.push_back(Container{std::move(name), {}});
+    if (parent != kNone) containers_[parent].parts.push_back({nullptr, 0, id});
+    return id;
   }
-}
+
+  /// Appends the children of `src_root` (attributes included) to
+  /// `container`'s content.
+  void MergeChildren(size_t container, const Document& src,
+                     NodeId src_root) {
+    for (NodeId c = src.first_child(src_root); c != kNullNode;
+         c = src.next_sibling(c)) {
+      containers_[container].parts.push_back({&src, c, kNone});
+    }
+  }
+
+  /// Builds container `id` under `parent` (kNullNode: as the root) in the
+  /// shape ParseXml(Serialize(...)) gives: the attributes of every merged
+  /// fragment root first, then the content with each run of adjacent
+  /// text merged into one node and whitespace-only runs dropped. Nodes
+  /// are created in document order, as the parser creates them.
+  Status Build(size_t id, Document* out, NodeId parent) const {
+    const Container& c = containers_[id];
+    const NodeId element = parent == kNullNode
+                               ? out->CreateRoot(c.name)
+                               : out->AppendElement(parent, c.name);
+    for (const Part& part : c.parts) {
+      if (part.src != nullptr &&
+          part.src->kind(part.node) == NodeKind::kAttribute) {
+        out->CopySubtree(*part.src, part.node, element);
+      }
+    }
+    std::string text;  // the pending run of adjacent text
+    bool has_text = false;
+    bool has_element = false;
+    auto flush_text = [&] {
+      if (!StripWhitespace(text).empty()) {
+        out->AppendText(element, text);
+        has_text = true;
+      }
+      text.clear();
+    };
+    for (const Part& part : c.parts) {
+      if (part.src == nullptr) {
+        flush_text();
+        has_element = true;
+        PARTIX_RETURN_IF_ERROR(Build(part.container, out, element));
+        continue;
+      }
+      switch (part.src->kind(part.node)) {
+        case NodeKind::kAttribute:
+          break;
+        case NodeKind::kText:
+          text += part.src->value(part.node);
+          break;
+        case NodeKind::kElement:
+          flush_text();
+          has_element = true;
+          out->CopySubtree(*part.src, part.node, element);
+          break;
+      }
+    }
+    flush_text();
+    if (has_text && has_element) {
+      // The data model has no mixed content: a parser rejects it too.
+      return Status::Corruption("joined <" + c.name +
+                                "> mixes text and element content");
+    }
+    return Status::Ok();
+  }
+
+ private:
+  /// A child of a container: a source node (src != nullptr) or another
+  /// container.
+  struct Part {
+    const Document* src;
+    NodeId node;
+    size_t container;
+  };
+  struct Container {
+    std::string name;
+    std::vector<Part> parts;
+  };
+  std::vector<Container> containers_;
+};
 
 /// Joins the fragment documents of one source document (sorted by root
 /// id) into a single document approximating the original structure:
 /// scaffolding ancestors are re-created, containers with equal
 /// reconstruction ids are merged, fragment subtrees are attached in
-/// reconstruction-id order.
+/// reconstruction-id order. The result is sealed and equals
+/// ParseXml(Serialize(result)) node for node.
 Result<DocumentPtr> JoinGroup(const std::string& source,
                               std::vector<FetchedDoc> docs,
                               const std::shared_ptr<xml::NamePool>& pool) {
@@ -98,22 +188,21 @@ Result<DocumentPtr> JoinGroup(const std::string& source,
                    [](const FetchedDoc& a, const FetchedDoc& b) {
                      return a.root_id < b.root_id;
                    });
-  auto out = std::make_shared<Document>(pool, source);
-  std::map<uint64_t, NodeId> containers;  // reconstruction id -> built node
+  JoinLayout layout;
+  size_t root = JoinLayout::kNone;
+  std::map<uint64_t, size_t> containers;  // reconstruction id -> container
 
   for (const FetchedDoc& fd : docs) {
     const Document& d = *fd.doc;
     NodeId frag_root = d.root();
     // Ensure the ancestor chain exists.
-    NodeId parent = kNullNode;
+    size_t parent = JoinLayout::kNone;
     for (const auto& [id, name] : fd.ancestors) {
       auto it = containers.find(id);
       if (it == containers.end()) {
-        NodeId built = parent == kNullNode && out->empty()
-                           ? out->CreateRoot(name)
-                           : out->AppendElement(
-                                 parent == kNullNode ? out->root() : parent,
-                                 name);
+        const size_t built = layout.AddContainer(
+            name, parent == JoinLayout::kNone ? root : parent);
+        if (root == JoinLayout::kNone) root = built;
         containers.emplace(id, built);
         parent = built;
       } else {
@@ -124,28 +213,113 @@ Result<DocumentPtr> JoinGroup(const std::string& source,
     if (it != containers.end()) {
       // Merge into an existing container (FragMode2 siblings, or a base
       // fragment arriving after a scaffold was created).
-      CopyContentInto(out.get(), it->second, d, frag_root);
+      layout.MergeChildren(it->second, d, frag_root);
       continue;
     }
-    NodeId attached;
-    if (parent == kNullNode) {
-      if (out->empty()) {
-        attached = out->CreateRoot(d.name(frag_root));
-      } else {
-        return Status::Corruption(
-            "fragment of '" + source +
-            "' has no ancestor chain but a root already exists");
-      }
-    } else {
-      attached = out->AppendElement(parent, d.name(frag_root));
+    if (parent == JoinLayout::kNone && root != JoinLayout::kNone) {
+      return Status::Corruption(
+          "fragment of '" + source +
+          "' has no ancestor chain but a root already exists");
     }
+    const size_t attached =
+        layout.AddContainer(std::string(d.name(frag_root)), parent);
+    if (root == JoinLayout::kNone) root = attached;
     containers.emplace(fd.root_id, attached);
-    CopyContentInto(out.get(), attached, d, frag_root);
+    layout.MergeChildren(attached, d, frag_root);
   }
-  if (out->empty()) {
+  if (root == JoinLayout::kNone) {
     return Status::Corruption("join of '" + source + "' produced nothing");
   }
+  auto out = std::make_shared<Document>(pool, source);
+  PARTIX_RETURN_IF_ERROR(layout.Build(root, out.get(), kNullNode));
+  // Sealed before it is frozen behind the DocumentPtr, like a parsed
+  // document: the query runs label-range scans over it.
+  out->SealLabels();
   return DocumentPtr(out);
+}
+
+/// Serves the composed documents as the one collection the original
+/// query reads. Read-only after construction.
+class ComposedCollection : public xquery::CollectionResolver {
+ public:
+  ComposedCollection(std::string name, std::vector<DocumentPtr> docs)
+      : name_(std::move(name)), docs_(std::move(docs)) {}
+
+  Result<std::vector<DocumentPtr>> Resolve(const std::string& name) override {
+    if (name != name_) {
+      return Status::NotFound("collection '" + name + "' does not exist");
+    }
+    return docs_;
+  }
+
+ private:
+  std::string name_;
+  std::vector<DocumentPtr> docs_;
+};
+
+/// Join composition: groups the fetched fragment documents by source
+/// document, joins each group in memory, and runs the plan's compiled
+/// original query over the joined documents — no store, no serialize →
+/// parse round trip.
+Result<std::string> ComposeJoin(const DistributedPlan& plan,
+                                std::vector<xdb::QueryResult> partials,
+                                uint64_t* result_items) {
+  // Group fetched documents by source document.
+  std::map<std::string, std::vector<FetchedDoc>> groups;
+  for (xdb::QueryResult& partial : partials) {
+    for (const xquery::Item& item : partial.items) {
+      if (!item.IsNode()) {
+        return Status::Internal(
+            "fetch sub-query returned a non-node item");
+      }
+      const xquery::NodeRef& ref = item.AsNode();
+      if (ref.node != xml::kDocumentNode &&
+          (ref.doc->empty() || ref.node != ref.doc->root())) {
+        return Status::Internal(
+            "fetch sub-query returned a non-document node");
+      }
+      PARTIX_ASSIGN_OR_RETURN(FetchedDoc fd, ParseWireDoc(ref.doc));
+      groups[fd.src].push_back(std::move(fd));
+    }
+  }
+
+  // One pool interns the joined documents' names and the names of
+  // elements the query constructs. Documents are served in group (source
+  // name) order.
+  auto pool = std::make_shared<xml::NamePool>();
+  std::vector<DocumentPtr> composed;
+  composed.reserve(groups.size());
+  for (auto& [source, docs] : groups) {
+    bool wire = false;
+    for (const FetchedDoc& fd : docs) wire = wire || fd.has_wire_ids;
+    if (!wire && docs.size() == 1) {
+      // Whole-document fragment (horizontal fetch): the node's document,
+      // as it is.
+      composed.push_back(std::move(docs[0].doc));
+      continue;
+    }
+    PARTIX_ASSIGN_OR_RETURN(DocumentPtr joined,
+                            JoinGroup(source, std::move(docs), pool));
+    composed.push_back(std::move(joined));
+  }
+
+  // Reuse the plan's compiled original query: the shared AST runs without
+  // re-parsing, streamed and serialized batch by batch.
+  ComposedCollection resolver(plan.collection, std::move(composed));
+  xquery::Evaluator evaluator(&resolver, pool);
+  PARTIX_ASSIGN_OR_RETURN(xquery::EvalStreamPtr stream,
+                          evaluator.OpenStream(plan.compiled->ast()));
+  std::string out;
+  xquery::SequenceSerializer serializer;
+  xquery::Sequence batch;
+  *result_items = 0;
+  for (;;) {
+    PARTIX_ASSIGN_OR_RETURN(bool more, stream->Next(&batch));
+    if (!more) break;
+    for (const xquery::Item& item : batch) serializer.Append(item, &out);
+    *result_items += batch.size();
+  }
+  return out;
 }
 
 /// Canonical "fragment at node" token used by every error message and
@@ -246,6 +420,18 @@ class InflightResultCharge {
 };
 
 }  // namespace
+
+Result<DocumentPtr> JoinFetchedFragments(
+    const std::string& source, std::vector<DocumentPtr> fragments,
+    const std::shared_ptr<xml::NamePool>& pool) {
+  std::vector<FetchedDoc> docs;
+  docs.reserve(fragments.size());
+  for (DocumentPtr& doc : fragments) {
+    PARTIX_ASSIGN_OR_RETURN(FetchedDoc fd, ParseWireDoc(std::move(doc)));
+    docs.push_back(std::move(fd));
+  }
+  return JoinGroup(source, std::move(docs), pool);
+}
 
 QueryService::~QueryService() { set_memory_governor(nullptr); }
 
@@ -745,7 +931,11 @@ Result<DistributedResult> QueryService::ExecutePlan(
              static_cast<double>(total_result_bytes) /
                  net.bandwidth_bytes_per_sec);
 
-  // Composition.
+  // Composition. It parses no XML: ComposeJoin joins the fetched
+  // documents in memory. (Dispatch may: a materialized dispatch at
+  // parallelism 1 runs the node engines, cold caches and all, on this
+  // thread.)
+  const uint64_t xml_parses_before = xml::ThreadParseCount();
   Stopwatch compose_watch(clock_);
   const double compose_start_ms = options.trace ? tracer.NowMs() : 0.0;
   switch (plan.composition) {
@@ -799,6 +989,9 @@ Result<DistributedResult> QueryService::ExecutePlan(
       break;
     }
   }
+  assert(xml::ThreadParseCount() == xml_parses_before &&
+         "composition parsed XML");
+  (void)xml_parses_before;
   out.result_bytes = out.serialized.size();
   // The composed answer is held until this frame returns. Streaming
   // union already charged its bytes as they were appended.
@@ -828,62 +1021,6 @@ Result<DistributedResult> QueryService::ExecutePlan(
   out.wall_ms = wall_watch.ElapsedMillis();
   finish();
   return out;
-}
-
-Result<std::string> QueryService::ComposeJoin(
-    const DistributedPlan& plan, std::vector<xdb::QueryResult> partials,
-    uint64_t* result_items) {
-  // A scratch engine hosts the joined documents under the original
-  // collection name; the original query then runs unchanged.
-  xdb::DatabaseOptions options;
-  options.cache_capacity_bytes = size_t{256} << 20;
-  xdb::Database scratch(options);
-  PARTIX_RETURN_IF_ERROR(scratch.CreateCollection(plan.collection));
-
-  // Group fetched documents by source document.
-  std::map<std::string, std::vector<FetchedDoc>> groups;
-  for (xdb::QueryResult& partial : partials) {
-    for (const xquery::Item& item : partial.items) {
-      if (!item.IsNode()) {
-        return Status::Internal(
-            "fetch sub-query returned a non-node item");
-      }
-      const xquery::NodeRef& ref = item.AsNode();
-      if (ref.node != xml::kDocumentNode &&
-          (ref.doc->empty() || ref.node != ref.doc->root())) {
-        return Status::Internal(
-            "fetch sub-query returned a non-document node");
-      }
-      PARTIX_ASSIGN_OR_RETURN(FetchedDoc fd, ParseWireDoc(ref.doc));
-      groups[fd.src].push_back(std::move(fd));
-    }
-  }
-
-  for (auto& [source, docs] : groups) {
-    bool wire = false;
-    for (const FetchedDoc& fd : docs) wire = wire || fd.has_wire_ids;
-    if (!wire && docs.size() == 1) {
-      // Whole-document fragment (horizontal fetch): store as-is.
-      PARTIX_RETURN_IF_ERROR(
-          scratch.StoreDocument(plan.collection, *docs[0].doc));
-      continue;
-    }
-    PARTIX_ASSIGN_OR_RETURN(DocumentPtr joined,
-                            JoinGroup(source, std::move(docs),
-                                      scratch.pool()));
-    PARTIX_RETURN_IF_ERROR(scratch.StoreDocument(plan.collection, *joined));
-  }
-
-  // Reuse the plan's compiled original query: the scratch engine analyzes
-  // the shared AST without re-parsing, and its cursor is drained here.
-  PARTIX_ASSIGN_OR_RETURN(xdb::PrepareOutcome prepared,
-                          scratch.Prepare(plan.compiled));
-  PARTIX_ASSIGN_OR_RETURN(xdb::ResultCursorPtr cursor,
-                          scratch.ExecutePreparedStream(*prepared.plan));
-  PARTIX_ASSIGN_OR_RETURN(xdb::QueryResult final_result,
-                          xdb::DrainCursor(*cursor));
-  *result_items = final_result.metrics.result_items;
-  return final_result.serialized;
 }
 
 }  // namespace partix::middleware

@@ -228,11 +228,11 @@ struct ExecutionOptions {
 /// Thread-safety: Execute/ExecutePlan/Explain/ExplainAnalyze are safe to
 /// call concurrently from multiple client threads — the multi-query
 /// scheduler (scheduler.h) relies on it. Each execution keeps its state
-/// (plan, tracer, outcome slots, compose scratch engine) on the calling
-/// thread; the shared pieces below it are thread-safe in their own right
-/// (executor dispatch and breakers, cluster data plane, node plan
-/// caches). set_clock remains control-plane: call it before concurrent
-/// executions start.
+/// (plan, tracer, outcome slots, the joined documents it composes) on the
+/// calling thread; the shared pieces below it are thread-safe in their
+/// own right (executor dispatch and breakers, cluster data plane, node
+/// plan caches). set_clock remains control-plane: call it before
+/// concurrent executions start.
 class QueryService {
  public:
   QueryService(ClusterSim* cluster, const DistributionCatalog* catalog)
@@ -315,10 +315,6 @@ class QueryService {
       const std::string& query,
       std::shared_ptr<const DistributionCatalog>* held) const;
 
-  Result<std::string> ComposeJoin(const DistributedPlan& plan,
-                                  std::vector<xdb::QueryResult> partials,
-                                  uint64_t* result_items);
-
   ClusterSim* cluster_;
   const DistributionCatalog* catalog_ = nullptr;
   const VersionedCatalog* versioned_ = nullptr;
@@ -329,6 +325,17 @@ class QueryService {
   memory::MemoryGovernor* governor_ = nullptr;
   int governor_id_ = -1;
 };
+
+/// Join composition's document builder (paper §4, vertical and hybrid
+/// composition): joins the fragment documents of one source document,
+/// fetched with their px-src/px-root/px-anc reconstruction IDs, into one
+/// document named `source` whose names are interned in `pool`. The
+/// result is sealed (SealLabels) and is the tree
+/// xml::ParseXml(xml::Serialize(result)) gives, node for node: merged
+/// fragment roots' attributes come first, adjacent text is one node.
+Result<xml::DocumentPtr> JoinFetchedFragments(
+    const std::string& source, std::vector<xml::DocumentPtr> fragments,
+    const std::shared_ptr<xml::NamePool>& pool);
 
 }  // namespace partix::middleware
 

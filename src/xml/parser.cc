@@ -350,13 +350,18 @@ class Parser {
   size_t depth_ = 0;
 };
 
+thread_local uint64_t t_parse_count = 0;
+
 }  // namespace
 
 Result<std::shared_ptr<Document>> ParseXml(std::shared_ptr<NamePool> pool,
                                            std::string doc_name,
                                            std::string_view input) {
+  ++t_parse_count;
   Parser parser(std::move(pool), std::move(doc_name), input);
   return parser.Parse();
 }
+
+uint64_t ThreadParseCount() { return t_parse_count; }
 
 }  // namespace partix::xml

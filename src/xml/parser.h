@@ -1,6 +1,7 @@
 #ifndef PARTIX_XML_PARSER_H_
 #define PARTIX_XML_PARSER_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -26,6 +27,13 @@ namespace partix::xml {
 Result<std::shared_ptr<Document>> ParseXml(std::shared_ptr<NamePool> pool,
                                            std::string doc_name,
                                            std::string_view input);
+
+/// Monotonic count of ParseXml invocations on the calling thread. The
+/// coordinator composes joined documents in memory, so a join execution
+/// parses no XML on the coordinator thread; tests and debug assertions
+/// diff this counter around an execution to prove it (the XML twin of
+/// xquery::ThreadParseCount).
+uint64_t ThreadParseCount();
 
 }  // namespace partix::xml
 
